@@ -87,15 +87,6 @@ class SimThread:
             return PRIORITY_REALTIME
         return self.base_priority
 
-    @property
-    def runnable(self) -> bool:
-        return self.state in (ThreadState.READY, ThreadState.RUNNING)
-
-    def sort_key(self):
-        """Scheduler ordering: higher effective priority first, then FIFO
-        within a priority level (``rr_seq`` is the round-robin counter)."""
-        return (-self.effective_priority, self.rr_seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<SimThread {self.name!r} {self.state.value} prio={self.base_priority}"

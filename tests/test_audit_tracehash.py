@@ -275,3 +275,18 @@ class TestAuditFigure:
 
         assert main(["audit", "fig99"]) == 2
         assert "unknown figure" in capsys.readouterr().err
+
+
+class TestPinnedFigureDigests:
+    """``tests/figure_digests.json`` pins fig1–fig8; CI checks them all,
+    tier-1 checks the cheapest scheduler-bound one."""
+
+    def test_fig1_matches_pinned_digest(self):
+        import json
+        from pathlib import Path
+
+        from tests._figure_digests import figure_digest
+
+        pinned = json.loads(
+            (Path(__file__).parent / "figure_digests.json").read_text())
+        assert figure_digest("fig1") == pinned["figures"]["fig1"]
