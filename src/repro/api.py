@@ -14,9 +14,6 @@ replaces that sprawl with one frozen :class:`RunConfig`:
   the matching executor, which activates the config for everything
   downstream, optionally enables the metrics registry, and emits a
   per-run manifest (see :mod:`repro.obs`);
-* the historical entry points :func:`run_figure` / :func:`run_fleet`
-  remain as thin shims that emit a :class:`DeprecationWarning` and
-  delegate to the same executors;
 * library code that *used to* read the environment now consults the
   activated config first and only falls back to the environment with a
   :class:`DeprecationWarning` (see :func:`fallback_config`).
@@ -334,12 +331,12 @@ def fallback_config(kind: str) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# RunResult + run_figure
+# RunResult + the figure executor
 # ---------------------------------------------------------------------------
 
 @dataclass
 class RunResult:
-    """Outcome of one :func:`run_figure` call."""
+    """Outcome of one ``figure`` :func:`run` request."""
 
     fig_id: str
     figure: Any                      # FigureData (typed loosely: no cycle)
@@ -630,12 +627,12 @@ def _run_figure(fig_id: str, config: Optional[RunConfig] = None,
 
 
 # ---------------------------------------------------------------------------
-# FleetRunResult + run_fleet
+# FleetRunResult + the fleet executor
 # ---------------------------------------------------------------------------
 
 @dataclass
 class FleetRunResult:
-    """Outcome of one :func:`run_fleet` call."""
+    """Outcome of one ``fleet`` :func:`run` request."""
 
     report: Any                      # repro.fleet.FleetReport
     figure: Any                      # FigureData rendering of the report
@@ -809,25 +806,3 @@ def run(request: RunRequest) -> Any:
         return run_point(request.target, request.config)
     raise ExperimentError(f"unknown run kind {request.kind!r}")
 
-
-def run_figure(fig_id: str, config: Optional[RunConfig] = None,
-               **kwargs: Any) -> RunResult:
-    """Deprecated shim — use :func:`run` with a ``figure`` request."""
-    warnings.warn(
-        "repro.api.run_figure() is deprecated; use repro.api.run("
-        "RunRequest(kind='figure', target=FIG_ID, config=..., "
-        "options={...}))",
-        DeprecationWarning, stacklevel=2,
-    )
-    return _run_figure(fig_id, config, **kwargs)
-
-
-def run_fleet(fleet_config: Any,
-              config: Optional[RunConfig] = None) -> FleetRunResult:
-    """Deprecated shim — use :func:`run` with a ``fleet`` request."""
-    warnings.warn(
-        "repro.api.run_fleet() is deprecated; use repro.api.run("
-        "RunRequest(kind='fleet', target=FLEET_CONFIG, config=...))",
-        DeprecationWarning, stacklevel=2,
-    )
-    return _run_fleet(fleet_config, config)

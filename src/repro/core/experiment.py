@@ -165,38 +165,26 @@ def repeat(measure: MeasureFn, *, base_seed: int = 0,
            reps: Optional[int] = None, retries: Optional[int] = None,
            task_timeout_s: Optional[float] = None,
            min_reps: Optional[int] = None) -> RepeatedResult:
-    """Convenience: resolve reps/jobs from the run config and run.
+    """Convenience: resolve reps from the run config and run.
 
     ``reps=`` / ``jobs=`` are explicit overrides; otherwise both resolve
     through the activated :class:`repro.api.RunConfig` (or, deprecated,
-    the legacy environment).  With more than one job and more than one
-    repetition the work is fanned out over a process pool (bit-identical
-    results; see :class:`repro.core.parallel.ParallelRepeater`).
-    ``jobs=1``, a single repetition, or an unpicklable ``measure`` all
-    fall back to the serial :class:`Repeater`.
+    the legacy environment).  :class:`repro.core.parallel.ParallelRepeater`
+    picks the path from the inputs: repetitions fan out over the
+    process pool when there is enough work (bit-identical results), and
+    ``jobs=1``, a single repetition, or an unpicklable ``measure`` run
+    in-process.
 
     ``retries`` / ``task_timeout_s`` / ``min_reps`` (explicit, or set on
-    the activated config, or implied by an active fault plan) route the
-    run through the resilient execution path even at one job — retried
-    repetitions re-derive the same seeds, so recovered results are
-    byte-identical to undisturbed ones.
+    the activated config, or implied by an active fault plan) apply at
+    any worker count — retried repetitions re-derive the same seeds, so
+    recovered results are byte-identical to undisturbed ones.
     """
-    from repro.core.parallel import ParallelRepeater, resolve_jobs
-    from repro.faults import FAULTS
+    from repro.core.parallel import ParallelRepeater
 
     if reps is None:
         reps = resolve_reps(default_reps)
-    elif reps < 1:
-        raise ExperimentError(f"reps must be >= 1, got {reps}")
-    n_jobs = resolve_jobs(jobs)
-    explicit_resilience = any(
-        value is not None for value in (retries, task_timeout_s, min_reps))
-    if (n_jobs > 1 and reps > 1) or explicit_resilience or FAULTS.enabled:
-        return ParallelRepeater(
-            base_seed, reps, jobs=n_jobs, retries=retries,
-            task_timeout_s=task_timeout_s, min_reps=min_reps,
-        ).run(measure)
-    repeater = ParallelRepeater(base_seed, reps, jobs=1)
-    if repeater._resilient:  # config-level retries/min_reps at one job
-        return repeater.run(measure)
-    return Repeater(base_seed, reps).run(measure)
+    return ParallelRepeater(
+        base_seed, reps, jobs=jobs, retries=retries,
+        task_timeout_s=task_timeout_s, min_reps=min_reps,
+    ).run(measure)

@@ -545,7 +545,7 @@ def generate_figure(fig_id: str, use_cache: Optional[bool] = None,
     on).  Cache identity covers the figure id, every keyword argument,
     the resolved repetition policy, the package version and a source
     fingerprint — see :mod:`repro.core.cache` for the invalidation
-    rules.  Prefer :func:`repro.api.run_figure`, which also times phases
+    rules.  Prefer :func:`repro.api.run`, which also times phases
     and can emit a run manifest.
     """
     from repro import api

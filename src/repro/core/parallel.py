@@ -37,21 +37,27 @@ per-worker wall time and queue wait observed from the parent side.
 Fault RUNLOG tallies ship the same way, so injection counts no longer
 depend on the metrics registry being enabled.
 
-Resilience
+One engine
 ----------
-Desktop grids assume workers die; so does this layer.  When retries, a
-per-task timeout, a ``min_reps`` floor, or an active
-:data:`repro.faults.FAULTS` plan is in force, :class:`ParallelRepeater`
-switches to a round-based resilient path: failed/timed-out/crashed
-repetitions are resubmitted (capped exponential backoff between rounds,
-the pool invalidated and lazily rebuilt if broken), and every retried
-repetition re-derives the **same** seed — so a fault-injected run that
-recovers is byte-identical to a fault-free one.  With ``min_reps`` the
-run degrades gracefully: it completes with at least that many successes
-and records the dropped seeds plus remote tracebacks (in
+Desktop grids assume workers die; so does this layer.  Repetitions and
+:func:`map_shards` shards run through one round loop
+(:func:`_run_rounds`) over one pool round (:func:`_pool_round`): every
+pending task is submitted, results are collected in index order, and
+failed, crashed or timed-out tasks are resubmitted for up to ``retries``
+further rounds (capped exponential backoff between rounds, the pool
+invalidated and lazily rebuilt if broken).  A retried repetition
+re-derives the **same** seed, so a fault-injected run that recovers is
+byte-identical to a fault-free one.  With ``retries=0`` the run is
+fail-fast: the lowest-index failure is raised as :class:`ExperimentError`
+carrying the repetition index and derived seed (or the shard index) plus
+the remote traceback, so any failing repetition can be reproduced
+standalone with ``measure(seed)``.  With ``min_reps`` the run degrades
+gracefully instead: it completes with at least that many successes and
+records the dropped seeds plus remote tracebacks (in
 ``RepeatedResult.dropped`` and the parent-side
-:data:`repro.faults.RUNLOG`, which run manifests pick up).  With none
-of those in force the legacy fail-fast path runs untouched.
+:data:`repro.faults.RUNLOG`, which run manifests pick up).  A worker
+that died idle between dispatches breaks submission; the round then
+resubmits once on a rebuilt pool, which is not a retry round.
 
 Fault-injection sites hosted here: ``worker.crash`` (hard ``os._exit``
 in the worker body — breaks the pool), ``worker.hang`` (bounded sleep,
@@ -59,17 +65,16 @@ to trip task timeouts) and ``measure.transient`` (raise-once
 :class:`repro.faults.InjectedFault` around the measurement).  Each
 disabled site costs one attribute read and a branch.
 
-Fallbacks: ``jobs=1``, a measurement function the pickle module cannot
-serialise (e.g. a test-local closure), or — on the fail-fast path —
-per-task work below the pool-dispatch threshold (``reps`` <=
-:data:`SERIAL_FALLBACK_REPS`) run serially in-process, recording
-``parallel.fallback_serial`` in METRICS; dispatch overhead only buys
-wall-clock when there is enough work to amortise it.  The resilient
-path never falls back on size alone: its timeout and process-level
-fault semantics need real worker processes.  Worker failures are
-re-raised as :class:`ExperimentError` carrying the offending repetition
-index and derived seed plus the remote traceback, so any failing
-repetition can be reproduced standalone with ``measure(seed)``.
+In-process selection, derived from the inputs: one worker, or a
+function or shard task the pickle module cannot serialise (e.g. a
+test-local closure), runs in the parent.  So does a run of at most
+:data:`SERIAL_FALLBACK_REPS` repetitions when no retry, timeout,
+``min_reps`` or fault plan is in force, recording
+``parallel.fallback_serial`` in METRICS: dispatch overhead only buys
+wall-clock when there is enough work to amortise it, while timeouts and
+process-level fault sites need real worker processes.  In the parent, a
+run with none of those knobs is the serial :class:`Repeater`; with them,
+the same round loop runs each round in-process.
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ import pickle
 import time
 import traceback
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.audit.tracehash import TRACE_HASH
 from repro.core.experiment import (
@@ -92,30 +97,31 @@ from repro.core.workerpool import (
     WorkerPool,
     WorkerResult,
     WorkerResultError,
-    _pool_context,  # noqa: F401  (re-exported; pre-pool callers import it here)
     build_task_context,
     get_pool,
     next_run_token,
-    shutdown_pools,  # noqa: F401  (re-exported for the CLI/benchmarks)
 )
 from repro.errors import ExperimentError
 from repro.faults import FAULTS, RUNLOG
 from repro.obs.metrics import METRICS
 from repro.simcore.rng import derive_rep_seed
 
-#: Legacy environment variable for the default worker count (interpreted
-#: only by :meth:`repro.api.RunConfig.from_env`).
-JOBS_ENV = "REPRO_JOBS"
-
 #: Backoff before retry round ``n`` is ``RETRY_BACKOFF_S * 2**(n-1)``,
 #: capped at :data:`RETRY_BACKOFF_CAP_S`.
 RETRY_BACKOFF_S = 0.05
 RETRY_BACKOFF_CAP_S = 2.0
 
-#: Fail-fast runs with this many repetitions or fewer skip the pool and
-#: run serially in the parent (``parallel.fallback_serial`` in METRICS):
-#: two tasks cannot amortise even a warm dispatch.
+#: Runs with this many repetitions or fewer and no resilience knob skip
+#: the pool and run serially in the parent (``parallel.fallback_serial``
+#: in METRICS): two tasks cannot amortise even a warm dispatch.
 SERIAL_FALLBACK_REPS = 2
+
+#: Fault-key prefix of a shard's ``worker.crash`` / ``worker.hang``
+#: draws; repetitions use their bare index.
+_SHARD_KEY = "shard:"
+
+#: Failure text of a task whose worker died under it.
+_POOL_BROKE = "worker pool broke: "
 
 
 def resolve_jobs(jobs: Optional[int] = None,
@@ -152,18 +158,18 @@ def warm_pool(jobs: Optional[int] = None) -> None:
         _warm(jobs)
 
 
-def _encode_fn(fn) -> Optional[bytes]:
-    """``fn`` pickled once parent-side for every task spec of a run;
+def _pickled(obj: Any) -> Optional[bytes]:
+    """``obj`` pickled once parent-side for every round of a run;
     ``None`` when it cannot cross a process boundary."""
     try:
-        return pickle.dumps(fn)
+        return pickle.dumps(obj)
     except Exception:
         return None
 
 
 def measure_is_picklable(measure: MeasureFn) -> bool:
     """Whether ``measure`` can cross a process boundary."""
-    return _encode_fn(measure) is not None
+    return _pickled(measure) is not None
 
 
 def _backoff_s(round_no: int) -> float:
@@ -189,10 +195,10 @@ def _run_repetition(measure: MeasureFn, repetition: int, seed: int,
     repetition's counters, which the parent merges back — and likewise
     for the audit trace-hash recorder, whose streams are labelled
     ``g<hash_group>/rep<n>`` (the group id is allocated parent-side) so
-    they line up key-for-key with a serial run.  The resilient serial
-    path runs this in the parent with ``snapshot_registry=False``
-    (never reset the parent registries, parent recorders accumulate
-    directly) and ``in_worker=False`` (process-level sites stay quiet).
+    they line up key-for-key with a serial run.  An in-process round
+    runs this in the parent with ``snapshot_registry=False`` (never
+    reset the parent registries, parent recorders accumulate directly)
+    and ``in_worker=False`` (process-level sites stay quiet).
     """
     # Cross-process queue wait: spans two clocks, so the wall clock is
     # the only option.  # repro: allow-wall-clock
@@ -243,7 +249,7 @@ def _run_shard(fn, index: int, task: Any, attempt: int = 0
         METRICS.reset()
     try:
         if FAULTS.enabled:
-            key = f"shard:{index}"
+            key = f"{_SHARD_KEY}{index}"
             if FAULTS.would_fire("worker.crash", key=key, attempt=attempt):
                 os._exit(17)
             if FAULTS.fires("worker.hang", key=key, attempt=attempt):
@@ -282,7 +288,7 @@ def _resilience_settings(retries: Optional[int],
 
 
 # ---------------------------------------------------------------------------
-# Spec construction and shared dispatch plumbing
+# The engine: task specs, one pool round, one round loop
 # ---------------------------------------------------------------------------
 
 def _rep_spec(fn_blob: bytes, repetition: int, seed: int, attempt: int,
@@ -300,12 +306,12 @@ def _rep_spec(fn_blob: bytes, repetition: int, seed: int, attempt: int,
     }
 
 
-def _shard_spec(fn_blob: bytes, index: int, task: Any, attempt: int,
+def _shard_spec(fn_blob: bytes, index: int, task_blob: bytes, attempt: int,
                 context: Dict[str, Any], run_token: int) -> Dict[str, Any]:
-    """Compact TaskSpec for one :func:`map_shards` shard."""
+    """Compact TaskSpec for one :func:`map_shards` shard; ``task_blob``
+    was pickled once, before the first round."""
     return {
-        "kind": "shard", "fn_blob": fn_blob,
-        "task_blob": pickle.dumps(task),
+        "kind": "shard", "fn_blob": fn_blob, "task_blob": task_blob,
         "index": index, "seed": None, "attempt": attempt,
         "submitted_at": 0.0, "hash_group": 0, "context": context,
         "run_token": run_token,
@@ -320,19 +326,6 @@ def _submit_batch(pool: WorkerPool, specs: List[Dict[str, Any]]) -> list:
     except Exception:
         pool.invalidate()
         return [pool.submit(spec) for spec in specs]
-
-
-def _salvage_results(results: List[WorkerResult], metrics_on: bool) -> int:
-    """Merge completed workers' observability after a broken round;
-    returns how many tasks had finished."""
-    for result in results:
-        if metrics_on and result.metrics is not None:
-            METRICS.merge(result.metrics)
-        if result.trace_hash is not None:
-            TRACE_HASH.merge(result.trace_hash)
-        if result.runlog is not None:
-            RUNLOG.merge(result.runlog)
-    return len(results)
 
 
 def _fold_observability(result: WorkerResult, metrics_on: bool,
@@ -350,18 +343,116 @@ def _fold_observability(result: WorkerResult, metrics_on: bool,
         RUNLOG.merge(result.runlog)
 
 
+def _pool_round(pool: WorkerPool, specs: Dict[int, Dict[str, Any]],
+                task_timeout_s: Optional[float], crash_key: str,
+                done: Dict[int, Any], failures: Dict[int, str],
+                metrics_on: bool, timers: bool = True) -> List[int]:
+    """One round over the persistent pool; returns the indices still
+    failing.
+
+    ``specs`` maps task index to spec, in index order; ``crash_key`` is
+    the ``worker.crash`` fault-key prefix (``""`` for repetitions,
+    :data:`_SHARD_KEY` for shards).  Successful values land in ``done``
+    and the last error text in ``failures``; every decoded result's
+    observability is merged, success or not.  A crashed or hung worker
+    invalidates the pool after the round; the next dispatch rebuilds it.
+    """
+    try:
+        futures = _submit_batch(pool, list(specs.values()))
+    except Exception as exc:
+        pool.invalidate()
+        for index in specs:
+            failures[index] = f"{_POOL_BROKE}{exc}"
+        return list(specs)
+    still_pending: List[int] = []
+    pool_broken = False
+    for (index, spec), future in zip(specs.items(), futures):
+        try:
+            wire = future.result(timeout=task_timeout_s)
+        except FutureTimeoutError:
+            future.cancel()
+            pool.abandon(future)
+            RUNLOG.timeouts += 1
+            if metrics_on:
+                METRICS.inc("parallel.timeouts")
+            failures[index] = f"timed out after {task_timeout_s}s"
+            still_pending.append(index)
+            pool_broken = True  # the hung worker occupies a slot
+            continue
+        except Exception as exc:
+            # A crashed worker takes its fault tally with it; the
+            # decision is deterministic, so account it parent-side.
+            if FAULTS.enabled and FAULTS.would_fire(
+                    "worker.crash", key=f"{crash_key}{index}",
+                    attempt=spec["attempt"]):
+                FAULTS.record("worker.crash")
+            failures[index] = f"{_POOL_BROKE}{exc}"
+            still_pending.append(index)
+            pool_broken = True
+            continue
+        try:
+            result = WorkerResult.from_wire(wire)
+        except WorkerResultError as exc:
+            if metrics_on:
+                METRICS.inc("parallel.payload_quarantined")
+            failures[index] = f"untrusted worker result: {exc}"
+            still_pending.append(index)
+            continue
+        _fold_observability(result, metrics_on, timers)
+        if result.error is None:
+            done[index] = result.values
+        else:
+            failures[index] = result.error
+            still_pending.append(index)
+    if pool_broken:
+        pool.invalidate()
+    return still_pending
+
+
+def _run_rounds(run_round: Callable[[List[int], int], List[int]],
+                count: int, retries: int, metrics_on: bool) -> List[int]:
+    """The one round loop: ``run_round(pending, round_no)`` runs every
+    pending index and returns those still failing; each later round
+    backs off first and is tallied as a retry.  Returns the indices
+    that never succeeded."""
+    pending = list(range(count))
+    for round_no in range(retries + 1):
+        if not pending:
+            break
+        if round_no > 0:
+            time.sleep(_backoff_s(round_no))
+            RUNLOG.retries += len(pending)
+            if metrics_on:
+                METRICS.inc("parallel.retries", len(pending))
+        pending = run_round(pending, round_no)
+    return pending
+
+
+def _failure(what: str, unit: str, completed: int, total: int,
+             attempts: int, error: str, hint: str = "") -> ExperimentError:
+    """The error for a task still failing after its last round."""
+    head = f"{what} failed after {attempts} attempt(s)"
+    if error.startswith(_POOL_BROKE):
+        head += (f": it broke the worker pool after {completed} of "
+                 f"{total} {unit} had completed")
+    else:
+        head += f" ({completed} of {total} {unit} completed)"
+    return ExperimentError(f"{head}{hint}.\nLast error:\n{error}")
+
+
 def map_shards(fn, tasks, jobs: Optional[int] = None,
                retries: Optional[int] = None,
                task_timeout_s: Optional[float] = None) -> list:
     """Map ``fn`` over ``tasks`` across workers, results in task order.
 
     The generic fan-out primitive behind fleet host building (and any
-    future shard-shaped work): tasks must be picklable and independent,
-    and because results come back in submission order the caller's merge
-    is bit-identical to ``[fn(t) for t in tasks]`` at any worker count.
-    Serial fallbacks (one worker, one task, unpicklable ``fn``) run
-    in-process; worker failures re-raise as :class:`ExperimentError`
-    naming the shard index with the remote traceback attached.
+    future shard-shaped work): tasks must be independent, and because
+    results come back in task order the caller's merge is bit-identical
+    to ``[fn(t) for t in tasks]`` at any worker count.  One worker, one
+    task, or an ``fn`` or task the pickle module cannot serialise runs
+    that list comprehension in-process; worker failures re-raise as
+    :class:`ExperimentError` naming the shard index with the remote
+    traceback attached.
 
     Dispatch goes through the persistent pool keyed by the resolved job
     count, so consecutive ``map_shards`` calls (every fleet size in a
@@ -377,147 +468,41 @@ def map_shards(fn, tasks, jobs: Optional[int] = None,
     workers = min(jobs_resolved, len(tasks)) if tasks else 0
     retries, task_timeout_s, _ = _resilience_settings(
         retries, task_timeout_s, None)
-    fn_blob = _encode_fn(fn) if workers > 1 else None
-    if workers <= 1 or fn_blob is None:
+    fn_blob = _pickled(fn) if workers > 1 else None
+    task_blobs = ([_pickled(task) for task in tasks]
+                  if fn_blob is not None else [])
+    if fn_blob is None or None in task_blobs:
         return [fn(task) for task in tasks]
     metrics_on = METRICS.enabled
     context = build_task_context()
     run_token = next_run_token()
     pool = get_pool(jobs_resolved)
-    if retries > 0 or task_timeout_s is not None or FAULTS.enabled:
-        results = _map_shards_resilient(
-            pool, fn_blob, tasks, retries, task_timeout_s, metrics_on,
-            context, run_token)
-    else:
-        specs = [_shard_spec(fn_blob, index, task, 0, context, run_token)
-                 for index, task in enumerate(tasks)]
-        futures = _submit_batch(pool, specs)
-        results = []
-        for index, future in enumerate(futures):
-            try:
-                wire = future.result()
-            except Exception as exc:
-                pool.invalidate()
-                finished = _salvage_results(results, metrics_on)
-                raise ExperimentError(
-                    f"shard {index} broke the worker pool after "
-                    f"{finished} of {len(tasks)} shards had "
-                    f"completed: {exc}"
-                ) from exc
-            try:
-                results.append(WorkerResult.from_wire(wire))
-            except WorkerResultError as exc:
-                if metrics_on:
-                    METRICS.inc("parallel.payload_quarantined")
-                _salvage_results(results, metrics_on)
-                raise ExperimentError(
-                    f"shard {index} returned an untrusted result: {exc}"
-                ) from exc
-        for result in results:
-            if result.error is not None:
-                raise ExperimentError(
-                    f"shard {result.index} failed in a worker.\n"
-                    f"Worker traceback:\n{result.error}"
-                )
-        for result in results:
-            _fold_observability(result, metrics_on, timers=False)
-    if metrics_on:
-        METRICS.inc("parallel.shards", len(results))
-        METRICS.gauge_max("parallel.workers", workers)
-    return [result.values for result in results]
-
-
-def _map_shards_resilient(pool: WorkerPool, fn_blob: bytes, tasks,
-                          retries: int, task_timeout_s: Optional[float],
-                          metrics_on: bool, context: Dict[str, Any],
-                          run_token: int) -> List[WorkerResult]:
-    """Round-based retry engine for :func:`map_shards`.
-
-    Returns completed :class:`WorkerResult` records in task order
-    (snapshots already merged); raises :class:`ExperimentError` if any
-    shard is still failing after the final round.
-    """
-    pending = list(range(len(tasks)))
-    done: Dict[int, WorkerResult] = {}
+    done: Dict[int, Any] = {}
     failures: Dict[int, str] = {}
-    for round_no in range(retries + 1):
-        if not pending:
-            break
-        if round_no > 0:
-            time.sleep(_backoff_s(round_no))
-            RUNLOG.retries += len(pending)
-            if metrics_on:
-                METRICS.inc("parallel.retries", len(pending))
-        try:
-            futures = {index: pool.submit(
-                _shard_spec(fn_blob, index, tasks[index], round_no,
-                            context, run_token))
-                for index in pending}
-        except Exception as exc:
-            pool.invalidate()
-            for index in pending:
-                failures[index] = f"worker pool broke: {exc}"
-            continue
-        still_pending: List[int] = []
-        pool_broken = False
-        for index in pending:
-            future = futures[index]
-            try:
-                wire = future.result(timeout=task_timeout_s)
-            except FutureTimeoutError:
-                future.cancel()
-                pool.abandon(future)
-                RUNLOG.timeouts += 1
-                if metrics_on:
-                    METRICS.inc("parallel.timeouts")
-                failures[index] = (
-                    f"timed out after {task_timeout_s}s")
-                still_pending.append(index)
-                pool_broken = True  # a hung worker occupies a slot
-                continue
-            except Exception as exc:
-                if FAULTS.enabled and FAULTS.would_fire(
-                        "worker.crash", key=f"shard:{index}",
-                        attempt=round_no):
-                    FAULTS.record("worker.crash")
-                failures[index] = f"worker pool broke: {exc}"
-                still_pending.append(index)
-                pool_broken = True
-                continue
-            try:
-                result = WorkerResult.from_wire(wire)
-            except WorkerResultError as exc:
-                if metrics_on:
-                    METRICS.inc("parallel.payload_quarantined")
-                failures[index] = f"untrusted worker result: {exc}"
-                still_pending.append(index)
-                continue
-            _fold_observability(result, metrics_on, timers=False)
-            if result.error is None:
-                done[index] = result
-            else:
-                failures[index] = result.error
-                still_pending.append(index)
-        pending = still_pending
-        if pool_broken:
-            pool.invalidate()
-    if pending:
-        first = pending[0]
-        raise ExperimentError(
-            f"shard {first} failed after {retries + 1} attempt(s) "
-            f"({len(done)} of {len(tasks)} shards completed).\n"
-            f"Last error:\n{failures[first]}"
-        )
-    return [done[index] for index in sorted(done)]
+
+    def run_round(pending: List[int], round_no: int) -> List[int]:
+        specs = {index: _shard_spec(fn_blob, index, task_blobs[index],
+                                    round_no, context, run_token)
+                 for index in pending}
+        return _pool_round(pool, specs, task_timeout_s, _SHARD_KEY, done,
+                           failures, metrics_on, timers=False)
+
+    failed = _run_rounds(run_round, len(tasks), retries, metrics_on)
+    if failed:
+        raise _failure(f"shard {failed[0]}", "shards", len(done),
+                       len(tasks), retries + 1, failures[failed[0]])
+    if metrics_on:
+        METRICS.inc("parallel.shards", len(done))
+        METRICS.gauge_max("parallel.workers", workers)
+    return [done[index] for index in range(len(tasks))]
 
 
 class ParallelRepeater:
     """Drop-in :class:`Repeater` that spreads repetitions over processes.
 
     ``retries`` / ``task_timeout_s`` / ``min_reps`` default from the
-    activated :class:`repro.api.RunConfig`; when all are unset and no
-    fault plan is active the legacy fail-fast path runs byte-for-byte
-    unchanged.
+    activated :class:`repro.api.RunConfig`; with all unset and no fault
+    plan active, in-process runs are the serial :class:`Repeater`.
     """
 
     def __init__(self, base_seed: int = 0, reps: int = 5,
@@ -538,200 +523,64 @@ class ParallelRepeater:
 
     @property
     def _resilient(self) -> bool:
+        """Whether a retry, timeout, ``min_reps`` or fault plan is in
+        force — the serial :class:`Repeater` honours none of them."""
         return (self.retries > 0 or self.task_timeout_s is not None
                 or self.min_reps is not None or FAULTS.enabled)
 
     def run(self, measure: MeasureFn) -> RepeatedResult:
+        """Run every repetition; retried repetitions re-derive the
+        **same** seed, so a recovered run's :class:`RepeatedResult` is
+        byte-identical to a fault-free one."""
         workers = min(self.jobs, self.reps)
-        if self._resilient:
-            return self._run_resilient(measure, workers)
-        if workers <= 1:
-            return Repeater(self.base_seed, self.reps).run(measure)
-        if self.reps <= SERIAL_FALLBACK_REPS:
+        resilient = self._resilient
+        if (workers > 1 and not resilient
+                and self.reps <= SERIAL_FALLBACK_REPS):
             # Adaptive fallback: too little work to amortise dispatch.
             if METRICS.enabled:
                 METRICS.inc("parallel.fallback_serial")
-            return Repeater(self.base_seed, self.reps).run(measure)
-        fn_blob = _encode_fn(measure)
-        if fn_blob is None:
+            workers = 1
+        fn_blob = _pickled(measure) if workers > 1 else None
+        if fn_blob is None and not resilient:
             return Repeater(self.base_seed, self.reps).run(measure)
         seeds = [derive_rep_seed(self.base_seed, repetition)
                  for repetition in range(self.reps)]
         metrics_on = METRICS.enabled
         thash_on = TRACE_HASH.enabled
         hash_group = TRACE_HASH.begin_group() if thash_on else 0
-        context = build_task_context()
-        run_token = next_run_token()
-        pool = get_pool(self.jobs)
-        specs = [_rep_spec(fn_blob, repetition, seed, 0, hash_group,
-                           context, run_token)
-                 for repetition, seed in enumerate(seeds)]
-        futures = _submit_batch(pool, specs)
-        results: List[WorkerResult] = []
-        # Collect in repetition order; the lowest failing index wins,
-        # matching the serial path's first-failure semantics.
-        for repetition, future in enumerate(futures):
-            try:
-                wire = future.result()
-            except Exception as exc:
-                pool.invalidate()
-                finished = _salvage_results(results, metrics_on)
-                raise ExperimentError(
-                    f"repetition {repetition} "
-                    f"(seed {seeds[repetition]}) broke the worker "
-                    f"pool after {finished} of {self.reps} "
-                    f"repetitions had completed: {exc}"
-                ) from exc
-            try:
-                results.append(WorkerResult.from_wire(wire))
-            except WorkerResultError as exc:
-                if metrics_on:
-                    METRICS.inc("parallel.payload_quarantined")
-                _salvage_results(results, metrics_on)
-                raise ExperimentError(
-                    f"repetition {repetition} (seed {seeds[repetition]}) "
-                    f"returned an untrusted result: {exc}"
-                ) from exc
-        for result in results:
-            if result.error is not None:
-                raise ExperimentError(
-                    f"repetition {result.index} (seed {result.seed}) "
-                    f"failed in a worker; reproduce with "
-                    f"measure({result.seed}).\n"
-                    f"Worker traceback:\n{result.error}"
-                )
-        if metrics_on:
-            METRICS.inc("parallel.repetitions", len(results))
-            METRICS.gauge_max("parallel.workers", workers)
-        for result in results:
-            _fold_observability(result, metrics_on)
-        return collect_repetitions(
-            (result.index, result.seed, result.values)
-            for result in results
-        )
-
-    # -- resilient path ---------------------------------------------------
-
-    def _run_resilient(self, measure: MeasureFn, workers: int
-                       ) -> RepeatedResult:
-        """Round-based execution with retry, timeout and degradation.
-
-        Retried repetitions re-derive the **same** seed, so a recovered
-        run's :class:`RepeatedResult` is byte-identical to a fault-free
-        one; metrics snapshots from *every* returned attempt (success or
-        failure) are merged so no completed work is discarded.  The
-        persistent pool survives across rounds (and across runs) — it is
-        invalidated, never discarded, when broken by a crash or an
-        abandoned hung worker.
-        """
-        seeds = [derive_rep_seed(self.base_seed, repetition)
-                 for repetition in range(self.reps)]
-        fn_blob = _encode_fn(measure) if workers > 1 else None
-        parallel_ok = fn_blob is not None
-        metrics_on = METRICS.enabled
-        thash_on = TRACE_HASH.enabled
-        hash_group = TRACE_HASH.begin_group() if thash_on else 0
-        completed: Dict[int, Dict[str, float]] = {}
+        done: Dict[int, Dict[str, float]] = {}
         failures: Dict[int, str] = {}
-        pending = list(range(self.reps))
-        pool = get_pool(self.jobs) if parallel_ok else None
-        context = build_task_context() if parallel_ok else None
-        run_token = next_run_token() if parallel_ok else 0
+        if fn_blob is None:
+            def run_round(pending: List[int], round_no: int) -> List[int]:
+                return self._serial_round(measure, seeds, pending, round_no,
+                                          done, failures, metrics_on,
+                                          hash_group)
+        else:
+            pool = get_pool(self.jobs)
+            context = build_task_context()
+            run_token = next_run_token()
+
+            def run_round(pending: List[int], round_no: int) -> List[int]:
+                specs = {repetition: _rep_spec(
+                    fn_blob, repetition, seeds[repetition], round_no,
+                    hash_group, context, run_token)
+                    for repetition in pending}
+                return _pool_round(pool, specs, self.task_timeout_s, "",
+                                   done, failures, metrics_on)
         try:
-            for round_no in range(self.retries + 1):
-                if not pending:
-                    break
-                if round_no > 0:
-                    time.sleep(_backoff_s(round_no))
-                    RUNLOG.retries += len(pending)
-                    if metrics_on:
-                        METRICS.inc("parallel.retries", len(pending))
-                if parallel_ok:
-                    pending = self._parallel_round(
-                        pool, fn_blob, seeds, pending, round_no, context,
-                        run_token, completed, failures, metrics_on,
-                        hash_group)
-                else:
-                    pending = self._serial_round(
-                        measure, seeds, pending, round_no,
-                        completed, failures, metrics_on, hash_group)
+            failed = _run_rounds(run_round, self.reps, self.retries,
+                                 metrics_on)
         finally:
             if thash_on:
                 TRACE_HASH.clear_context()
         if metrics_on:
-            METRICS.inc("parallel.repetitions", len(completed))
-            if parallel_ok:
+            METRICS.inc("parallel.repetitions", len(done))
+            if fn_blob is not None:
                 METRICS.gauge_max("parallel.workers", workers)
-        return self._fold(seeds, completed, failures, metrics_on)
-
-    def _parallel_round(self, pool, fn_blob, seeds, pending, round_no,
-                        context, run_token, completed, failures,
-                        metrics_on, hash_group=0):
-        """One submission round over the persistent pool; returns the
-        still-pending repetitions.  A broken/hung pool is invalidated
-        (shut down without waiting) and rebuilt lazily on the next
-        dispatch."""
-        try:
-            futures = {
-                repetition: pool.submit(
-                    _rep_spec(fn_blob, repetition, seeds[repetition],
-                              round_no, hash_group, context, run_token))
-                for repetition in pending
-            }
-        except Exception as exc:
-            # A worker died idle between rounds: fail the whole round,
-            # which retries on a rebuilt pool.
-            pool.invalidate()
-            for repetition in pending:
-                failures[repetition] = f"worker pool broke: {exc}"
-            return list(pending)
-        still_pending: List[int] = []
-        pool_broken = False
-        for repetition in pending:
-            future = futures[repetition]
-            try:
-                wire = future.result(timeout=self.task_timeout_s)
-            except FutureTimeoutError:
-                future.cancel()
-                pool.abandon(future)
-                RUNLOG.timeouts += 1
-                if metrics_on:
-                    METRICS.inc("parallel.timeouts")
-                failures[repetition] = (
-                    f"timed out after {self.task_timeout_s}s")
-                still_pending.append(repetition)
-                pool_broken = True  # the hung worker occupies a slot
-                continue
-            except Exception as exc:
-                # A crashed worker takes its fault tally with it; the
-                # decision is deterministic, so account it parent-side.
-                if FAULTS.enabled and FAULTS.would_fire(
-                        "worker.crash", key=repetition, attempt=round_no):
-                    FAULTS.record("worker.crash")
-                failures[repetition] = f"worker pool broke: {exc}"
-                still_pending.append(repetition)
-                pool_broken = True
-                continue
-            try:
-                result = WorkerResult.from_wire(wire)
-            except WorkerResultError as exc:
-                if metrics_on:
-                    METRICS.inc("parallel.payload_quarantined")
-                failures[repetition] = f"untrusted worker result: {exc}"
-                still_pending.append(repetition)
-                continue
-            _fold_observability(result, metrics_on)
-            if result.error is None:
-                completed[repetition] = result.values
-            else:
-                failures[repetition] = result.error
-                still_pending.append(repetition)
-        if pool_broken:
-            pool.invalidate()
-        return still_pending
+        return self._fold(seeds, failed, done, failures, metrics_on)
 
     def _serial_round(self, measure, seeds, pending, round_no,
-                      completed, failures, metrics_on, hash_group=0):
+                      done, failures, metrics_on, hash_group=0):
         """In-process round (one worker, or unpicklable ``measure``).
 
         Runs in the parent: process-level sites (``worker.crash`` /
@@ -751,27 +600,24 @@ class ParallelRepeater:
             if metrics_on:
                 METRICS.observe("parallel.worker_wall_s", wall)
             if error is None:
-                completed[repetition] = metrics
+                done[repetition] = metrics
             else:
                 failures[repetition] = error
                 still_pending.append(repetition)
         return still_pending
 
-    def _fold(self, seeds, completed, failures, metrics_on
+    def _fold(self, seeds, failed, done, failures, metrics_on
               ) -> RepeatedResult:
         """Collect successes; degrade via ``min_reps`` or fail fast."""
-        failed = [r for r in range(self.reps) if r not in completed]
         dropped: List[Dict[str, Any]] = []
         if failed:
-            if self.min_reps is None or len(completed) < self.min_reps:
+            if self.min_reps is None or len(done) < self.min_reps:
                 first = failed[0]
-                raise ExperimentError(
-                    f"repetition {first} (seed {seeds[first]}) failed "
-                    f"after {self.retries + 1} attempt(s) "
-                    f"({len(completed)} of {self.reps} repetitions "
-                    f"completed); reproduce with measure({seeds[first]}).\n"
-                    f"Worker traceback:\n{failures[first]}"
-                )
+                raise _failure(
+                    f"repetition {first} (seed {seeds[first]})",
+                    "repetitions", len(done), self.reps, self.retries + 1,
+                    failures[first],
+                    hint=f"; reproduce with measure({seeds[first]})")
             dropped = [
                 {"repetition": r, "seed": seeds[r],
                  "error": failures[r].strip().splitlines()[-1]
@@ -783,8 +629,8 @@ class ParallelRepeater:
             if metrics_on:
                 METRICS.inc("parallel.dropped", len(dropped))
         result = collect_repetitions(
-            (repetition, seeds[repetition], completed[repetition])
-            for repetition in sorted(completed)
+            (repetition, seeds[repetition], done[repetition])
+            for repetition in sorted(done)
         )
         result.dropped = dropped
         return result

@@ -119,8 +119,7 @@ def estimated_grid_efficiency(hypervisor: str) -> float:
     Einstein case): 1 / translation multiplier.
 
     Moved here from ``repro.grid`` — the fleet layer owns the analytical
-    estimates now; ``repro.grid.estimated_grid_efficiency`` remains as a
-    deprecated shim.
+    estimates now.
     """
     profile = get_profile(resolve_hypervisor(hypervisor))
     return 1.0 / user_multiplier(profile, MIX_EINSTEIN)

@@ -1448,7 +1448,7 @@ def simulate_fleet(config: FleetConfig,
                    jobs: Optional[int] = None) -> FleetReport:
     """Build the fleet (sharded across workers) and run the server loop.
 
-    The one-call entry point used by :func:`repro.api.run_fleet`, the
+    The one-call entry point used by :func:`repro.api.run`, the
     fleet figures and the benchmarks.  Deterministic per config; the
     ``jobs`` count affects wall-clock only, never the report.  Host
     building dispatches to the persistent worker pool only above

@@ -264,22 +264,6 @@ class TestRunDispatcher:
         assert result.fig_id == "mem"
         assert result.figure.fig_id == "mem"
 
-    def test_run_figure_shim_warns_and_matches(self):
-        via_run = _figure("mem")
-        with pytest.warns(DeprecationWarning, match="run_figure.*deprecated"):
-            legacy = api.run_figure("mem")
-        assert legacy.figure.to_dict() == via_run.figure.to_dict()
-
-    def test_run_fleet_shim_warns_and_matches(self):
-        from repro.fleet import FleetConfig
-
-        small = FleetConfig(hosts=12, duration_s=3600.0, seed=5)
-        config = RunConfig()
-        via_run = run(RunRequest(kind="fleet", target=small, config=config))
-        with pytest.warns(DeprecationWarning, match="run_fleet.*deprecated"):
-            legacy = api.run_fleet(small, config)
-        assert legacy.report.to_dict() == via_run.report.to_dict()
-
     def test_campaign_point_request_round_trips(self):
         from repro.campaign import CampaignSpec, Scenario, plan_campaign
 
