@@ -150,18 +150,23 @@ class FaultPlan:
         self.record(site)
         return True
 
-    def record(self, site: str) -> None:
-        """Tally one injection for ``site`` (plan, RUNLOG and METRICS).
+    def record(self, site: str, count: int = 1) -> None:
+        """Tally ``count`` injections for ``site`` (plan, RUNLOG and
+        METRICS); a zero count records nothing.
 
         The RUNLOG tally is what survives the trip home from a pool
         worker even when the metrics registry is disabled, so manifest
-        injection counts never depend on ``--metrics``.
+        injection counts never depend on ``--metrics``.  Bulk callers
+        (the columnar fleet loop tallies a whole run's ``vm.crash`` and
+        ``net.partition`` draws at once) pass ``count``.
         """
-        self.injected[site] = self.injected.get(site, 0) + 1
-        RUNLOG.injected[site] = RUNLOG.injected.get(site, 0) + 1
+        if count <= 0:
+            return
+        self.injected[site] = self.injected.get(site, 0) + count
+        RUNLOG.injected[site] = RUNLOG.injected.get(site, 0) + count
         if METRICS.enabled:
-            METRICS.inc("faults.injected")
-            METRICS.inc(f"faults.injected.{site}")
+            METRICS.inc("faults.injected", count)
+            METRICS.inc(f"faults.injected.{site}", count)
 
     def uniform(self, site: str, key: Any, salt: str = "u") -> float:
         """Deterministic [0, 1) auxiliary draw for an armed site (e.g.
@@ -273,9 +278,9 @@ class FaultInjector:
         return self.plan is not None and \
             self.plan.would_fire(site, key, attempt)
 
-    def record(self, site: str) -> None:
+    def record(self, site: str, count: int = 1) -> None:
         if self.plan is not None:
-            self.plan.record(site)
+            self.plan.record(site, count)
 
     def raise_if(self, site: str, key: Any = "",
                  attempt: Optional[int] = None) -> None:

@@ -15,11 +15,21 @@
  * or refills the buffer, updates the context, and calls fleet_run again
  * — the loop resumes exactly where it stopped.
  *
+ * Fault storms run the same recovery state machine as the Python loop
+ * (outage windows, vm.crash rollback, upload retries over net.partition,
+ * degraded quorum-of-1), all behind the one `faults` flag so the
+ * fault-free path stays branch-cheap.  Fault decisions are computed here
+ * by a SHA-256 port of repro.faults.plan._draw: Python passes the
+ * "{seed}|{site}|" prefix bytes and the kernel appends
+ * "{key}|{attempt}|{salt}", so it never calls back into Python and any
+ * seed (negative, past int64) hashes exactly as in Python.
+ *
  * Every struct field is 8 bytes wide (int64/double/pointer) so the
  * layout matches the ctypes.Structure in cloop.py with no padding.
  */
 
 #include <stdint.h>
+#include <string.h>
 
 #define ST_DONE 0
 #define ST_NEED_DRAWS 1
@@ -31,6 +41,143 @@
 #define K_REQUEST 0
 #define K_DEADLINE 1
 #define K_COMPLETE 2
+#define K_UPLOAD 3
+
+/* replica flag bits */
+#define F_TIMED_OUT 1
+#define F_COMPLETED 2           /* delivered or lost */
+#define F_COMPUTED 4            /* storms: compute done, upload pending */
+
+/* ---- SHA-256 (FIPS 180-4), just enough for fault_draw ---------------- */
+
+typedef struct {
+    uint32_t h[8];
+    uint8_t buf[64];
+    uint64_t len;               /* bytes absorbed */
+} Sha256;
+
+static const uint32_t K256[64] = {
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
+    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
+    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
+    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
+    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
+    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
+    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
+    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
+};
+
+#define ROR(x, n) (((x) >> (n)) | ((x) << (32 - (n))))
+
+static void sha256_block(uint32_t *h, const uint8_t *p)
+{
+    uint32_t w[64];
+    for (int i = 0; i < 16; i++)
+        w[i] = (uint32_t)p[4 * i] << 24 | (uint32_t)p[4 * i + 1] << 16
+            | (uint32_t)p[4 * i + 2] << 8 | (uint32_t)p[4 * i + 3];
+    for (int i = 16; i < 64; i++) {
+        uint32_t s0 = ROR(w[i - 15], 7) ^ ROR(w[i - 15], 18)
+            ^ (w[i - 15] >> 3);
+        uint32_t s1 = ROR(w[i - 2], 17) ^ ROR(w[i - 2], 19)
+            ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    uint32_t a = h[0], b = h[1], c = h[2], d = h[3];
+    uint32_t e = h[4], f = h[5], g = h[6], k = h[7];
+    for (int i = 0; i < 64; i++) {
+        uint32_t t1 = k + (ROR(e, 6) ^ ROR(e, 11) ^ ROR(e, 25))
+            + ((e & f) ^ (~e & g)) + K256[i] + w[i];
+        uint32_t t2 = (ROR(a, 2) ^ ROR(a, 13) ^ ROR(a, 22))
+            + ((a & b) ^ (a & c) ^ (b & c));
+        k = g; g = f; f = e; e = d + t1;
+        d = c; c = b; b = a; a = t1 + t2;
+    }
+    h[0] += a; h[1] += b; h[2] += c; h[3] += d;
+    h[4] += e; h[5] += f; h[6] += g; h[7] += k;
+}
+
+static void sha256_init(Sha256 *s)
+{
+    static const uint32_t iv[8] = {
+        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+        0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+    };
+    memcpy(s->h, iv, sizeof iv);
+    s->len = 0;
+}
+
+static void sha256_update(Sha256 *s, const uint8_t *p, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++) {
+        s->buf[s->len % 64] = p[i];
+        s->len++;
+        if (s->len % 64 == 0)
+            sha256_block(s->h, s->buf);
+    }
+}
+
+/* first 8 digest bytes, little-endian (Python's int.from_bytes(.., "little")) */
+static uint64_t sha256_word(Sha256 *s)
+{
+    uint64_t bits = s->len * 8;
+    uint8_t pad = 0x80;
+    sha256_update(s, &pad, 1);
+    pad = 0;
+    while (s->len % 64 != 56)
+        sha256_update(s, &pad, 1);
+    uint8_t lenbe[8];
+    for (int i = 0; i < 8; i++)
+        lenbe[i] = (uint8_t)(bits >> (56 - 8 * i));
+    sha256_update(s, lenbe, 8);
+    uint8_t digest[8];
+    for (int i = 0; i < 2; i++) {
+        digest[4 * i] = (uint8_t)(s->h[i] >> 24);
+        digest[4 * i + 1] = (uint8_t)(s->h[i] >> 16);
+        digest[4 * i + 2] = (uint8_t)(s->h[i] >> 8);
+        digest[4 * i + 3] = (uint8_t)s->h[i];
+    }
+    uint64_t word = 0;
+    for (int i = 7; i >= 0; i--)
+        word = word << 8 | digest[i];
+    return word;
+}
+
+static void put_int(Sha256 *s, int64_t v)
+{
+    char tmp[24];
+    int n = 0;
+    uint64_t u = v < 0 ? (uint64_t)0 - (uint64_t)v : (uint64_t)v;
+    do {
+        tmp[n++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    if (v < 0)
+        tmp[n++] = '-';
+    for (int i = n - 1; i >= 0; i--)
+        sha256_update(s, (const uint8_t *)&tmp[i], 1);
+}
+
+/* repro.faults.plan._draw: uniform [0, 1) from
+ * sha256(prefix + "{key}|{attempt}|{salt}"), prefix = "{seed}|{site}|" */
+double fault_draw(const uint8_t *prefix, int64_t plen, int64_t key,
+                  int64_t attempt, const uint8_t *salt, int64_t slen)
+{
+    static const uint8_t bar = '|';
+    Sha256 s;
+    sha256_init(&s);
+    sha256_update(&s, prefix, plen);
+    put_int(&s, key);
+    sha256_update(&s, &bar, 1);
+    put_int(&s, attempt);
+    sha256_update(&s, &bar, 1);
+    sha256_update(&s, salt, slen);
+    return (double)sha256_word(&s) / 18446744073709551616.0;
+}
+
+/* ---- the event kernel -------------------------------------------------- */
 
 typedef struct {
     /* sizes / params */
@@ -45,7 +192,9 @@ typedef struct {
     const double *draws;
     int64_t rounds_avail;
     /* work-unit state */
-    uint8_t *wu_state;          /* 0 open, 1 validated, 2 bad-locked */
+    uint8_t *wu_state;          /* 0 open, 1 validated, 2 bad-locked;
+                                   degraded quorum-of-1 validated: 5 from
+                                   open, 3 from bad-locked (bit0 = valid) */
     double *wu_validated;
     int32_t *wu_issued, *wu_out, *wu_tmo, *wu_holders;
     uint8_t *wu_nhold;
@@ -53,7 +202,7 @@ typedef struct {
     /* replicas (growable) */
     int32_t *r_wid, *r_host;
     double *r_dead, *r_disp;
-    uint8_t *r_flag;            /* bit0 timed out, bit1 completed */
+    uint8_t *r_flag;            /* F_* bits */
     int64_t rep_cap;
     /* ok returns in delivery order (growable) */
     int32_t *ret_wid, *ret_host;
@@ -76,6 +225,21 @@ typedef struct {
     int64_t seq, n_valid, n_rep, ret_count;
     int64_t ok_n, err_n, stale_n, tmo_n, red_n;
     double err_cpu, stale_cpu, red_cpu;
+    /* fault storm: everything below is touched only when faults != 0 */
+    int64_t faults;
+    const double *o_start, *o_end;  /* sorted disjoint outage windows */
+    int64_t n_out;
+    double p_crash, p_part, interval, backoff;
+    int64_t upload_retries, degraded_threshold;
+    const uint8_t *crash_prefix;    /* "{seed}|vm.crash|" */
+    int64_t crash_plen;
+    const uint8_t *part_prefix;     /* "{seed}|net.partition|" */
+    int64_t part_plen;
+    double *r_cpu, *r_rb;           /* per replica: compute, rolled back */
+    int32_t *r_att;                 /* per replica: upload attempts */
+    int64_t uploads_retried, uploads_lost, vm_crashes, part_n;
+    int64_t degraded_validated, backlog, degraded, deg_n;
+    double rolled_back_cpu, lost_upload_cpu, deg_since, deg_s;
 } FleetCtx;
 
 static void heap_push(FleetCtx *c, double t, int64_t seq, uint64_t pay)
@@ -142,13 +306,85 @@ static void need_append(FleetCtx *c, int32_t wid)
 
 static void maybe_reissue(FleetCtx *c, int32_t wid)
 {
+    if (c->wu_state[wid] & 1)
+        return;
     if ((int64_t)c->wu_nhold[wid] + c->wu_out[wid] < c->quorum
         && c->wu_issued[wid] < c->max_replicas)
         need_append(c, wid);
 }
 
+static void validate(FleetCtx *c, int32_t wid, uint8_t state, double t)
+{
+    c->wu_state[wid] = state;
+    c->wu_validated[wid] = t;
+    c->n_valid++;
+}
+
+/* end of the outage window covering `now` (bisect over the starts), or -1 */
+static double outage_end(const FleetCtx *c, double now)
+{
+    int64_t lo = 0, hi = c->n_out;
+    while (lo < hi) {
+        int64_t mid = (lo + hi) >> 1;
+        if (now < c->o_start[mid])
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    if (lo > 0 && now < c->o_end[lo - 1])
+        return c->o_end[lo - 1];
+    return -1.0;
+}
+
+/* finish_time over host sessions [j, hi) from `now`; 0 = trace ran out */
+static int csr_finish(const FleetCtx *c, int64_t j, int64_t hi, double now,
+                      double needed, double *fin)
+{
+    double remaining = needed;
+    for (; j < hi; j++) {
+        double s = c->fs[j];
+        double e = c->fe[j];
+        double lo = s > now ? s : now;
+        if (lo >= e)
+            continue;
+        double span = e - lo;
+        if (span >= remaining) {
+            *fin = lo + remaining;
+            return 1;
+        }
+        remaining -= span;
+    }
+    return 0;
+}
+
+/* repro.fleet.recovery.rollback_seconds (floor via truncation: x > 0, and
+ * any x >= 2^52 is already integral) */
+static double rollback_seconds(double progress, double interval)
+{
+    if (progress <= 0.0)
+        return 0.0;
+    if (interval <= 0.0)
+        return progress;
+    double x = progress / interval;
+    double fl = x < 4503599627370496.0 ? (double)(int64_t)x : x;
+    return progress - fl * interval;
+}
+
 static void dispatch(FleetCtx *c, int64_t h, double now)
 {
+    if (c->faults) {
+        double end = outage_end(c, now);
+        if (end >= 0.0) {
+            /* scheduler down: re-poll when the window ends */
+            double limit = c->departure[h];
+            if (c->horizon < limit)
+                limit = c->horizon;
+            if (end < limit)
+                heap_push(c, end, c->seq++,
+                          ((uint64_t)K_REQUEST << 32) | (uint64_t)h);
+            return;
+        }
+    }
     int64_t wid = -1;
     int64_t nstash = 0;
     while (c->need_count > 0) {
@@ -157,7 +393,7 @@ static void dispatch(FleetCtx *c, int64_t h, double now)
         if (c->need_head >= c->need_cap)
             c->need_head = 0;
         c->need_count--;
-        if (c->wu_state[w] == 1 || c->wu_issued[w] >= c->max_replicas)
+        if ((c->wu_state[w] & 1) || c->wu_issued[w] >= c->max_replicas)
             continue;           /* entry is stale; drop it */
         const int32_t *hl = c->wu_hosts + (int64_t)w * c->max_replicas;
         int32_t cnt = c->wu_issued[w];
@@ -209,23 +445,30 @@ static void dispatch(FleetCtx *c, int64_t h, double now)
     while (cu + 1 < hi && c->fs[cu + 1] <= now)
         cu++;
     c->cur[h] = cu;
-    double fin = 0.0;
-    int has_fin = 0;
-    double remaining = c->an[h];
-    for (int64_t j = cu; j < hi; j++) {
-        double s = c->fs[j];
-        double e = c->fe[j];
-        double lo = s > now ? s : now;
-        if (lo >= e)
-            continue;
-        double span = e - lo;
-        if (span >= remaining) {
-            fin = lo + remaining;
-            has_fin = 1;
-            break;
+    double needed = c->an[h];
+    if (c->faults) {
+        double rolled = 0.0;
+        if (c->p_crash > 0.0
+            && fault_draw(c->crash_prefix, c->crash_plen, rid, 0,
+                          (const uint8_t *)"", 0) < c->p_crash) {
+            /* crash point as a fraction of this replica's compute; only a
+             * crash the trace reaches counts */
+            double progress = fault_draw(c->crash_prefix, c->crash_plen,
+                                         rid, 0, (const uint8_t *)"at", 2)
+                * needed;
+            double crash_at;
+            if (csr_finish(c, cu, hi, now, progress, &crash_at)) {
+                rolled = rollback_seconds(progress, c->interval);
+                needed += rolled;
+                c->vm_crashes++;
+            }
         }
-        remaining -= span;
+        c->r_cpu[rid] = needed;
+        c->r_rb[rid] = rolled;
+        c->r_att[rid] = 0;
     }
+    double fin = 0.0;
+    int has_fin = csr_finish(c, cu, hi, now, needed, &fin);
     c->r_wid[rid] = (int32_t)wid;
     c->r_host[rid] = (int32_t)h;
     c->r_dead[rid] = deadline;
@@ -238,13 +481,147 @@ static void dispatch(FleetCtx *c, int64_t h, double now)
     if (has_fin && fin <= c->horizon) {
         heap_push(c, fin, c->seq++,
                   ((uint64_t)K_COMPLETE << 32) | (uint64_t)rid);
-        if (deadline < fin)
+        if (deadline < fin || (c->faults && deadline <= c->horizon))
             heap_push(c, deadline, c->seq++,
                       ((uint64_t)K_DEADLINE << 32) | (uint64_t)rid);
     } else if (deadline <= c->horizon) {
         heap_push(c, deadline, c->seq++,
                   ((uint64_t)K_DEADLINE << 32) | (uint64_t)rid);
     }
+}
+
+/* a finished result reaches the server */
+static void deliver(FleetCtx *c, int64_t rid, double t)
+{
+    int32_t wid = c->r_wid[rid];
+    int64_t h = c->r_host[rid];
+    uint8_t fl = c->r_flag[rid];
+    c->r_flag[rid] = fl | F_COMPLETED;
+    /* rolled-back seconds are already their own waste bucket */
+    double useful = c->faults ? c->r_cpu[rid] - c->r_rb[rid] : c->an[h];
+    if ((fl & F_TIMED_OUT) || t > c->r_dead[rid]) {
+        c->stale_n++;
+        c->stale_cpu += useful;
+        c->waste[h] += useful;
+        if (!(fl & F_TIMED_OUT)) {
+            c->wu_out[wid]--;
+            c->r_flag[rid] = fl | F_TIMED_OUT | F_COMPLETED;
+        }
+        maybe_reissue(c, wid);
+        return;
+    }
+    c->wu_out[wid]--;
+    if (c->wu_state[wid] & 1) {
+        c->red_n++;
+        c->red_cpu += useful;
+        c->waste[h] += useful;
+        return;
+    }
+    int32_t u = c->ucur[h]++;
+    double d = c->draws[(int64_t)u * c->n + h];
+    if (d < c->err_rate) {
+        c->err_n++;
+        c->err_cpu += useful;
+        c->waste[h] += useful;
+        if (c->quorum == 1 && c->wu_state[wid] == 0)
+            c->wu_state[wid] = 2;
+        maybe_reissue(c, wid);
+        return;
+    }
+    c->ok_n++;
+    c->ret_wid[c->ret_count] = wid;
+    c->ret_host[c->ret_count] = (int32_t)h;
+    c->ret_cpu[c->ret_count] = useful;
+    c->ret_count++;
+    uint8_t lone;
+    if (c->wu_state[wid] == 0) {
+        int64_t nh = c->wu_nhold[wid];
+        c->wu_holders[(int64_t)wid * c->quorum + nh] = (int32_t)h;
+        nh++;
+        c->wu_nhold[wid] = (uint8_t)nh;
+        if (nh >= c->quorum) {
+            validate(c, wid, 1, t);
+            return;
+        }
+        lone = 5;
+    } else {
+        lone = 3;               /* bad-locked: the match can never validate */
+    }
+    if (c->degraded) {
+        /* degraded mode: the lone result is accepted as quorum-of-1 */
+        validate(c, wid, lone, t);
+        c->degraded_validated++;
+    } else {
+        maybe_reissue(c, wid);
+    }
+}
+
+/* degraded-mode hysteresis on the buffered-upload backlog */
+static void update_degraded(FleetCtx *c, double now)
+{
+    if (c->degraded_threshold <= 0)
+        return;
+    if (!c->degraded && c->backlog > c->degraded_threshold) {
+        c->degraded = 1;
+        c->deg_since = now;
+    } else if (c->degraded && c->backlog == 0) {
+        c->degraded = 0;
+        c->deg_n++;
+        c->deg_s += now - c->deg_since;
+    }
+}
+
+/* retry budget exhausted: the computed result is lost */
+static void drop_upload(FleetCtx *c, int64_t rid)
+{
+    int32_t wid = c->r_wid[rid];
+    int64_t h = c->r_host[rid];
+    uint8_t fl = c->r_flag[rid];
+    c->r_flag[rid] = fl | F_COMPLETED;
+    c->uploads_lost++;
+    double useful = c->r_cpu[rid] - c->r_rb[rid];
+    c->lost_upload_cpu += useful;
+    c->waste[h] += useful;
+    if (!(fl & F_TIMED_OUT)) {
+        c->wu_out[wid]--;
+        c->r_flag[rid] = fl | F_TIMED_OUT | F_COMPLETED;
+    }
+    maybe_reissue(c, wid);
+}
+
+/* deliver, or buffer for a retry when an outage or net.partition blocks */
+static void attempt_upload(FleetCtx *c, int64_t rid, double now)
+{
+    double earliest = outage_end(c, now);
+    if (earliest < 0.0) {
+        if (!(c->p_part > 0.0
+              && fault_draw(c->part_prefix, c->part_plen, rid,
+                            c->r_att[rid], (const uint8_t *)"", 0)
+                 < c->p_part)) {
+            deliver(c, rid, now);
+            return;
+        }
+        c->part_n++;
+        earliest = now;
+    }
+    int32_t attempt = c->r_att[rid];
+    c->r_att[rid] = attempt + 1;
+    if (attempt >= c->upload_retries) {
+        drop_upload(c, rid);
+        return;
+    }
+    c->uploads_retried++;
+    double delay = c->backoff;  /* backoff * 2^attempt, exactly */
+    for (int32_t i = 0; i < attempt; i++)
+        delay *= 2.0;
+    double retry_at = now + delay;
+    if (earliest > retry_at)
+        retry_at = earliest;
+    c->backlog++;
+    update_degraded(c, now);
+    if (retry_at <= c->horizon)
+        heap_push(c, retry_at, c->seq++,
+                  ((uint64_t)K_UPLOAD << 32) | (uint64_t)rid);
 }
 
 int fleet_run(FleetCtx *c)
@@ -269,20 +646,26 @@ int fleet_run(FleetCtx *c)
         heap_pop(c, &t, &seq, &pay);
         int kind = (int)(pay >> 32);
         int64_t payload = (int64_t)(pay & 0xffffffffu);
-        if (kind == K_COMPLETE) {
+        if (kind == K_COMPLETE || kind == K_UPLOAD) {
             int64_t rid = payload;
             int32_t wid = c->r_wid[rid];
             int64_t h = c->r_host[rid];
-            double deadline = c->r_dead[rid];
-            uint8_t fl = c->r_flag[rid];
-            /* will this delivery consume a serve uniform?  pause for a
-             * refill before mutating anything if the supply is dry */
-            if (!fl && t <= deadline && c->wu_state[wid] != 1
+            /* might this event deliver a result that consumes a serve
+             * uniform?  pause for a refill before mutating anything if
+             * the supply is dry (a storm may not deliver after all; an
+             * extra round of draws is harmless) */
+            if (!(c->r_flag[rid] & F_TIMED_OUT) && t <= c->r_dead[rid]
+                && !(c->wu_state[wid] & 1)
                 && c->ucur[h] >= c->rounds_avail) {
                 heap_push(c, t, seq, pay);
                 return ST_NEED_DRAWS;
             }
-            c->r_flag[rid] = fl | 2;
+            if (kind == K_UPLOAD) {
+                c->backlog--;
+                attempt_upload(c, rid, t);
+                update_degraded(c, t);
+                continue;
+            }
             int redispatch = c->n_valid < c->nwu;
             if (redispatch && c->heap_len > 0 && c->h_t[0] == t) {
                 /* a tied event must process first: fall back to the
@@ -291,57 +674,16 @@ int fleet_run(FleetCtx *c)
                           ((uint64_t)K_REQUEST << 32) | (uint64_t)h);
                 redispatch = 0;
             }
-            double useful = c->an[h];
-            if (fl || t > deadline) {
-                c->stale_n++;
-                c->stale_cpu += useful;
-                c->waste[h] += useful;
-                if (!fl) {
-                    c->wu_out[wid]--;
-                    c->r_flag[rid] = 3;
+            if (c->faults) {
+                c->r_flag[rid] |= F_COMPUTED;
+                double rolled = c->r_rb[rid];
+                if (rolled != 0.0) {
+                    c->rolled_back_cpu += rolled;
+                    c->waste[h] += rolled;
                 }
-                if (c->wu_state[wid] != 1)
-                    maybe_reissue(c, wid);
-            } else if (c->wu_state[wid] == 1) {
-                c->wu_out[wid]--;
-                c->red_n++;
-                c->red_cpu += useful;
-                c->waste[h] += useful;
+                attempt_upload(c, rid, t);
             } else {
-                c->wu_out[wid]--;
-                int32_t u = c->ucur[h]++;
-                double d = c->draws[(int64_t)u * c->n + h];
-                if (d < c->err_rate) {
-                    c->err_n++;
-                    c->err_cpu += useful;
-                    c->waste[h] += useful;
-                    if (c->quorum == 1 && c->wu_state[wid] == 0)
-                        c->wu_state[wid] = 2;
-                    maybe_reissue(c, wid);
-                } else {
-                    c->ok_n++;
-                    c->ret_wid[c->ret_count] = wid;
-                    c->ret_host[c->ret_count] = (int32_t)h;
-                    c->ret_cpu[c->ret_count] = useful;
-                    c->ret_count++;
-                    if (c->wu_state[wid] == 0) {
-                        int64_t nh = c->wu_nhold[wid];
-                        c->wu_holders[(int64_t)wid * c->quorum + nh] =
-                            (int32_t)h;
-                        nh++;
-                        c->wu_nhold[wid] = (uint8_t)nh;
-                        if (nh >= c->quorum) {
-                            c->wu_state[wid] = 1;
-                            c->wu_validated[wid] = t;
-                            c->n_valid++;
-                        } else {
-                            maybe_reissue(c, wid);
-                        }
-                    } else {
-                        /* bad-locked: the match can never validate */
-                        maybe_reissue(c, wid);
-                    }
-                }
+                deliver(c, rid, t);
             }
             if (redispatch)
                 dispatch(c, h, t);
@@ -349,11 +691,11 @@ int fleet_run(FleetCtx *c)
             dispatch(c, payload, t);
         } else {
             int64_t rid = payload;
-            if (!c->r_flag[rid]) {
-                c->r_flag[rid] = 1;
+            if (!(c->r_flag[rid] & (F_TIMED_OUT | F_COMPLETED))) {
+                c->r_flag[rid] |= F_TIMED_OUT;
                 int32_t wid = c->r_wid[rid];
                 c->wu_out[wid]--;
-                if (c->wu_state[wid] != 1) {
+                if (!(c->wu_state[wid] & 1)) {
                     c->wu_tmo[wid]++;
                     c->tmo_n++;
                     maybe_reissue(c, wid);

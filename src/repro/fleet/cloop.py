@@ -8,7 +8,11 @@ the temp directory, keyed by a hash of the source), loads it through
 to Python whenever a growable buffer would overflow or the pre-drawn
 serve uniforms run dry, the driver grows/refills the numpy buffer and
 resumes.  Everything the kernel touches is a numpy array owned here, so
-the canonical flat state comes back with zero copying.
+the canonical flat state comes back with zero copying.  Under a fault
+storm the kernel also draws the ``vm.crash``/``net.partition``
+decisions itself (a SHA-256 port of :func:`repro.faults.plan._draw`,
+fed the ``"{seed}|{site}|"`` prefix bytes built here); :func:`fault_draw`
+exposes that port so tests can pin it to the Python original.
 
 No compiler, a failed compile, or ``REPRO_NO_CLOOP=1`` all degrade to
 ``run_event_loop`` returning ``None``; the server then runs the
@@ -30,7 +34,7 @@ import numpy as np
 
 from repro.fleet.fastrng import VecPcg
 
-__all__ = ["available", "run_event_loop"]
+__all__ = ["available", "fault_draw", "run_event_loop"]
 
 _SRC = Path(__file__).with_name("_cloop.c")
 
@@ -76,7 +80,26 @@ class _FleetCtx(ctypes.Structure):
         ("ok_n", _I), ("err_n", _I), ("stale_n", _I), ("tmo_n", _I),
         ("red_n", _I),
         ("err_cpu", _D), ("stale_cpu", _D), ("red_cpu", _D),
+        ("faults", _I),
+        ("o_start", _P), ("o_end", _P), ("n_out", _I),
+        ("p_crash", _D), ("p_part", _D), ("interval", _D), ("backoff", _D),
+        ("upload_retries", _I), ("degraded_threshold", _I),
+        ("crash_prefix", _P), ("crash_plen", _I),
+        ("part_prefix", _P), ("part_plen", _I),
+        ("r_cpu", _P), ("r_rb", _P), ("r_att", _P),
+        ("uploads_retried", _I), ("uploads_lost", _I), ("vm_crashes", _I),
+        ("part_n", _I), ("degraded_validated", _I), ("backlog", _I),
+        ("degraded", _I), ("deg_n", _I),
+        ("rolled_back_cpu", _D), ("lost_upload_cpu", _D),
+        ("deg_since", _D), ("deg_s", _D),
     ]
+
+#: Recovery tallies the kernel accumulates (zero-initialised with the
+#: struct), returned in the state dict.
+_RECOVERY_INTS = ("uploads_retried", "uploads_lost", "vm_crashes", "part_n",
+                  "degraded_validated", "backlog", "degraded", "deg_n")
+_RECOVERY_FLOATS = ("rolled_back_cpu", "lost_upload_cpu", "deg_since",
+                    "deg_s")
 
 
 _lib: Optional[ctypes.CDLL] = None
@@ -132,6 +155,9 @@ def _load() -> Optional[ctypes.CDLL]:
         lib = ctypes.CDLL(so_path)
         lib.fleet_run.argtypes = [ctypes.POINTER(_FleetCtx)]
         lib.fleet_run.restype = ctypes.c_int
+        lib.fault_draw.argtypes = [ctypes.c_char_p, _I, _I, _I,
+                                   ctypes.c_char_p, _I]
+        lib.fault_draw.restype = ctypes.c_double
     except OSError:
         return None
     _lib = lib
@@ -145,6 +171,23 @@ def available() -> bool:
 
 def _addr(arr: np.ndarray) -> int:
     return arr.ctypes.data
+
+
+def _prefix(seed: int, site: str) -> bytes:
+    """The ``_draw`` payload up to the key: ``"{seed}|{site}|"``."""
+    return f"{seed}|{site}|".encode("utf-8")
+
+
+def fault_draw(seed: int, site: str, key: int, attempt: int,
+               salt: str = "") -> Optional[float]:
+    """The kernel's :func:`repro.faults.plan._draw`; ``None`` if the
+    kernel is absent."""
+    lib = _load()
+    if lib is None:
+        return None
+    prefix = _prefix(seed, site)
+    tail = salt.encode("utf-8")
+    return lib.fault_draw(prefix, len(prefix), key, attempt, tail, len(tail))
 
 
 def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
@@ -216,6 +259,19 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
     h_seq[:k] = seqs[order]
     h_pay[:k] = has_sessions[order].astype(np.uint64)  # K_REQUEST == 0
 
+    # per-replica recovery columns exist only under a storm
+    faults = bool(prep.faults)
+    rec_cap = rep_cap if faults else 0
+    r_cpu = np.empty(rec_cap, dtype=np.float64)
+    r_rb = np.empty(rec_cap, dtype=np.float64)
+    r_att = np.empty(rec_cap, dtype=np.int32)
+    o_start = np.ascontiguousarray(prep.o_start, dtype=np.float64)
+    o_end = np.ascontiguousarray(prep.o_end, dtype=np.float64)
+    crash_prefix = np.frombuffer(_prefix(prep.fault_seed, "vm.crash"),
+                                 dtype=np.uint8)
+    part_prefix = np.frombuffer(_prefix(prep.fault_seed, "net.partition"),
+                                dtype=np.uint8)
+
     waste = np.zeros(n, dtype=np.float64)
     ucur = np.zeros(n, dtype=np.int32)
     poll_fail = np.zeros(n, dtype=np.int32)
@@ -272,6 +328,23 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
     ctx.ret_count = 0
     ctx.ok_n = ctx.err_n = ctx.stale_n = ctx.tmo_n = ctx.red_n = 0
     ctx.err_cpu = ctx.stale_cpu = ctx.red_cpu = 0.0
+    ctx.faults = int(faults)
+    ctx.o_start = _addr(o_start)
+    ctx.o_end = _addr(o_end)
+    ctx.n_out = len(o_start)
+    ctx.p_crash = prep.p_crash
+    ctx.p_part = prep.p_part
+    ctx.interval = prep.interval
+    ctx.backoff = prep.backoff
+    ctx.upload_retries = prep.upload_retries
+    ctx.degraded_threshold = prep.degraded_threshold
+    ctx.crash_prefix = _addr(crash_prefix)
+    ctx.crash_plen = len(crash_prefix)
+    ctx.part_prefix = _addr(part_prefix)
+    ctx.part_plen = len(part_prefix)
+    ctx.r_cpu = _addr(r_cpu)
+    ctx.r_rb = _addr(r_rb)
+    ctx.r_att = _addr(r_att)
 
     while True:
         status = lib.fleet_run(ctypes.byref(ctx))
@@ -298,6 +371,13 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
             ctx.r_disp = _addr(r_disp)
             ctx.r_flag = _addr(r_flag)
             ctx.rep_cap = rep_cap
+            if faults:
+                r_cpu, r_rb, r_att = (_grow(r_cpu, rep_cap),
+                                      _grow(r_rb, rep_cap),
+                                      _grow(r_att, rep_cap))
+                ctx.r_cpu = _addr(r_cpu)
+                ctx.r_rb = _addr(r_rb)
+                ctx.r_att = _addr(r_att)
         elif status == _ST_GROW_RET:
             ret_cap *= 2
             ret_wid, ret_host, ret_cpu = (
@@ -334,7 +414,8 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
 
     n_rep = int(ctx.n_rep)
     ret_count = int(ctx.ret_count)
-    return {
+    rec_rep = n_rep if faults else 0
+    state = {
         "n_valid": int(ctx.n_valid),
         "n_rep": n_rep,
         "ok_n": int(ctx.ok_n),
@@ -357,8 +438,16 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
         "r_host": r_host[:n_rep],
         "r_disp": r_disp[:n_rep],
         "r_flag": r_flag[:n_rep],
+        "r_cpu": r_cpu[:rec_rep],
+        "r_rb": r_rb[:rec_rep],
+        "r_att": r_att[:rec_rep],
         "waste": waste,
     }
+    for name in _RECOVERY_INTS:
+        state[name] = int(getattr(ctx, name))
+    for name in _RECOVERY_FLOATS:
+        state[name] = float(getattr(ctx, name))
+    return state
 
 
 def _grow(arr: np.ndarray, new_cap: int) -> np.ndarray:

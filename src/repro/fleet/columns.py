@@ -122,6 +122,31 @@ class FleetColumns:
     def views(self) -> "HostViews":
         return HostViews(self)
 
+    def depart_early(self, hosts: Sequence[int],
+                     at_s: Sequence[float]) -> None:
+        """Move each of ``hosts`` to depart permanently at ``at_s``.
+
+        The CSR form of the per-host rewrite
+        ``sessions = [(s, min(e, at)) for s, e in sessions if s < at]``:
+        sessions starting at or after the new departure are dropped and
+        the rest have their ends clipped with ``min`` — exact in floating
+        point, so the clipped trace is byte-identical to the object one.
+        Cached host views are discarded.
+        """
+        n = len(self)
+        index = np.asarray(hosts, dtype=np.int64)
+        cut = np.full(n, np.inf)
+        cut[index] = at_s
+        owner = np.repeat(np.arange(n), np.diff(self.s_off))
+        limit = cut[owner]
+        keep = self.s_starts < limit
+        self.s_starts = self.s_starts[keep]
+        self.s_ends = np.minimum(self.s_ends, limit)[keep]
+        self.s_off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner[keep], minlength=n), out=self.s_off[1:])
+        self.departure_s[index] = at_s
+        self._views = [None] * n
+
 
 class HostViews(Sequence):
     """A lazy ``Sequence[FleetHost]`` over :class:`FleetColumns`.

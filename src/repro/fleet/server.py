@@ -43,14 +43,19 @@ the sites; see :mod:`repro.fleet.recovery` for the model):
   (every such validation tallied as a validation risk), recovering when
   the backlog drains to zero.
 
-Two executions of the same loop coexist.  The **classic** loop walks
-``FleetHost`` objects and ``WorkUnit``/``Replica`` records — it runs
-whenever the server is handed a host list, or faults/metrics are armed.
-The **columnar** loop (:meth:`FleetServer._fast_run`) drives the same
-events over :class:`repro.fleet.columns.FleetColumns` flat arrays and
-parallel lists; it is the fault-free production path and is
-byte-identical to the classic loop at every seed/config (asserted by
-the equivalence tests against the archived pre-columnar server in
+Two executions of the same loop coexist.  The **columnar** loop
+(:meth:`FleetServer._fast_run`) drives the events over
+:class:`repro.fleet.columns.FleetColumns` flat arrays and parallel
+lists — in the compiled kernel (``_cloop.c``) or its pure-Python twin
+:meth:`FleetServer._fast_loop_python` — and is the production path for
+metrics-off runs, fault-free or under a fault storm.  The **classic**
+loop walks ``FleetHost`` objects and ``WorkUnit``/``Replica`` records;
+it runs when the server is handed a host list or when metrics are
+enabled (its handlers feed the ``fleet.*`` counters) — which includes
+``repro fleet`` and ``repro campaign`` unless given ``--no-metrics``,
+since both record a manifest by default.  Both are byte-identical at
+every seed, config and fault plan (asserted by the equivalence tests
+against the archived pre-columnar server in
 ``tests/_reference_fleet.py``).
 """
 
@@ -68,6 +73,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.faults import FAULTS
+from repro.faults.plan import _draw as fault_draw
 from repro.fleet.calibration import fleet_slowdown
 from repro.fleet.churn import active_seconds, finish_time
 from repro.fleet.columns import (
@@ -77,7 +83,7 @@ from repro.fleet.columns import (
 from repro.fleet.config import FleetConfig
 from repro.fleet.cloop import run_event_loop as _c_event_loop
 from repro.fleet.fastrng import VecPcg
-from repro.fleet.host import FleetHost, build_fleet_hosts
+from repro.fleet.host import FleetHost
 from repro.fleet.recovery import outage_windows, rollback_seconds
 from repro.fleet.validation import (
     CANONICAL_KEY,
@@ -266,6 +272,25 @@ def _percentile(sorted_values: List[float], q: float) -> float:
     return sorted_values[rank]
 
 
+def _csr_finish(fs: List[float], fe: List[float], j: int, hi: int,
+                now: float, needed: float) -> Optional[float]:
+    """:func:`~repro.fleet.churn.finish_time` over one host's CSR slice
+    ``[j, hi)`` (``j`` = the session cursor at ``now``); ``None`` when
+    the trace runs out first."""
+    remaining = needed
+    for k in range(j, hi):
+        s = fs[k]
+        e = fe[k]
+        lo = s if s > now else now
+        if lo >= e:
+            continue
+        span = e - lo
+        if span >= remaining:
+            return lo + remaining
+        remaining -= span
+    return None
+
+
 class _FastPrep:
     """Read-only inputs of the columnar fast loop.
 
@@ -275,11 +300,20 @@ class _FastPrep:
     ``delays`` is the poll-backoff table ``min(poll·2^(f−1), cap)``
     pre-tabulated until it saturates; doubling is an exact float
     operation, so the table entries equal the inline expression.
+
+    ``faults`` is true when a fleet recovery site can fire (an outage
+    window was drawn, or ``vm.crash``/``net.partition`` is armed); only
+    then do the loops run the recovery state machine, fed by the outage
+    window arrays, the two site probabilities, the fault seed and the
+    recovery policy knobs.
     """
 
     __slots__ = ("n", "nwu", "horizon", "quorum", "max_replicas",
                  "err_rate", "fs", "fe", "soff", "departure", "an",
-                 "base", "stretch", "delays", "serve_seed", "hv_code")
+                 "base", "stretch", "delays", "serve_seed", "hv_code",
+                 "faults", "fault_seed", "p_crash", "p_part",
+                 "o_start", "o_end", "interval", "upload_retries",
+                 "backoff", "degraded_threshold")
 
 
 class FleetServer:
@@ -301,13 +335,12 @@ class FleetServer:
             if FAULTS.enabled else [])
         self._outage_starts = [start for start, _ in self._outages]
         self.validator = QuorumValidator(config.quorum)
-        # Columns + no faults/metrics run the flat fast loop, which keeps
+        # Columns without metrics run the flat fast loop, which keeps
         # work-unit and replica state in parallel lists of its own; the
         # classic loop materialises the record objects.  Eligibility is
-        # re-checked in run() so arming FAULTS/METRICS between
-        # construction and run still lands on the classic loop.
-        self._fast = (self.columns is not None and dropouts == 0
-                      and not FAULTS.enabled and not METRICS.enabled)
+        # re-checked in run() so enabling METRICS between construction
+        # and run still lands on the classic loop.
+        self._fast = self.columns is not None and not METRICS.enabled
         self.workunits: List[WorkUnit] = []
         self.need: deque = deque()
         self._poll_failures: List[int] = []
@@ -689,7 +722,7 @@ class FleetServer:
     # -- the run ---------------------------------------------------------
 
     def run(self) -> FleetReport:
-        if self._fast and not FAULTS.enabled and not METRICS.enabled:
+        if self._fast and not METRICS.enabled:
             return self._fast_run()
         self._init_classic_state()
         horizon = self.config.duration_s
@@ -714,17 +747,21 @@ class FleetServer:
     # -- the columnar fast loop ------------------------------------------
 
     def _fast_run(self) -> FleetReport:
-        """Run the columnar fast path (fault-free only).
+        """Run the columnar fast path (fault-free or under a storm).
 
         Builds the shared read-only prep, runs the event loop — the
         compiled C kernel when available, the pure-Python fallback
         otherwise; both produce the identical canonical flat state —
-        and renders one report from that state.
+        tallies the run's ``vm.crash``/``net.partition`` injections in
+        bulk and renders one report from that state.
         """
         prep = self._fast_prep()
         state = _c_event_loop(prep)
         if state is None:
             state = self._fast_loop_python(prep)
+        if prep.faults:
+            FAULTS.record("vm.crash", state["vm_crashes"])
+            FAULTS.record("net.partition", state["part_n"])
         return self._fast_report(prep, state)
 
     def _fast_prep(self) -> _FastPrep:
@@ -765,10 +802,26 @@ class FleetServer:
             delays.append(min(delays[-1] * 2.0, _MAX_POLL_BACKOFF_S))
         prep.delays = np.array(delays, dtype=np.float64)
         prep.serve_seed = cols.serve_seed
+        # the fault storm, read at run time like the classic handlers do
+        plan = FAULTS.plan if FAULTS.enabled else None
+        arms = plan.arms if plan is not None else {}
+        prep.fault_seed = plan.seed if plan is not None else 0
+        prep.p_crash = arms.get("vm.crash", 0.0)
+        prep.p_part = arms.get("net.partition", 0.0)
+        prep.o_start = np.array([s for s, _ in self._outages],
+                                dtype=np.float64)
+        prep.o_end = np.array([e for _, e in self._outages],
+                              dtype=np.float64)
+        prep.faults = bool(self._outages) or prep.p_crash > 0.0 \
+            or prep.p_part > 0.0
+        prep.interval = interval
+        prep.upload_retries = self.policy.upload_retries
+        prep.backoff = self.policy.upload_backoff_s
+        prep.degraded_threshold = self.policy.degraded_threshold
         return prep
 
     def _fast_loop_python(self, prep: _FastPrep) -> Dict[str, Any]:
-        """The classic event loop over flat columns (fault-free only).
+        """The classic event loop over flat columns.
 
         Same events, same order, same floats — the differences are
         representational (parallel lists instead of ``Replica`` /
@@ -778,18 +831,35 @@ class FleetServer:
 
         * a completion at ``t`` re-dispatches inline when no other event
           is scheduled at ``t`` — the pushed re-poll would pop next
-          anyway (any tied event carries a smaller sequence number);
-        * a replica whose completion lands at or before its deadline
-          never pushes the deadline event (the completed flag makes the
-          deadline handler a no-op);
+          anyway (any tied event carries a smaller sequence number, and
+          an upload retry is always scheduled strictly later);
+        * without a storm, a replica whose completion lands at or before
+          its deadline never pushes the deadline event (delivery is
+          immediate, so the completed flag makes the deadline handler a
+          no-op).  Under a storm an upload can outlive the deadline, so
+          every in-horizon deadline is pushed;
         * events past the horizon are never pushed — the loop stops at
           the first popped time past the horizon, processing none of
           them, and relative order among surviving events is preserved.
 
-        Replica flag bits: 1 = timed out, 2 = completed.  Work-unit
-        validator state: 0 = open, 1 = validated, 2 = locked by a
-        quorum-of-1 erroneous result (the validator accepted a bad key,
-        so later matching results can never validate the unit).
+        Under a storm (``prep.faults``) the loop runs the classic
+        recovery state machine: requests inside an outage window
+        re-poll at its end; ``vm.crash`` draws at dispatch and, when the
+        crash lands in-trace, adds the rolled-back seconds to the
+        replica's compute; completion counts the rollback and attempts
+        the upload, which an outage or a ``net.partition`` draw turns
+        into an ``_UPLOAD`` retry on exponential backoff (or a lost
+        result once the budget is spent); the retry backlog drives the
+        degraded quorum-of-1 hysteresis.
+
+        Replica flag bits: 1 = timed out, 2 = completed (delivered or
+        lost), 4 = compute done (storms only; the upload may still be
+        pending).  Work-unit validator state: 0 = open, 1 = validated
+        by quorum, 2 = locked by a quorum-of-1 erroneous result (the
+        validator accepted a bad key, so later matching results can
+        never validate the unit), 5 = open then validated by a degraded
+        quorum-of-1 (the last holder is the lone result), 3 = locked
+        then validated by a degraded quorum-of-1.  Bit 0 is "validated".
 
         ``repro/fleet/_cloop.c`` is a transliteration of this loop;
         both return the canonical flat state that
@@ -840,6 +910,29 @@ class FleetServer:
         cur = off[:n]               # per-host session cursor (monotone)
         poll_fail = [0] * n
 
+        # fault storm: outage windows, site probabilities, policy, and
+        # per-replica compute / rolled-back seconds / upload attempts
+        faults = prep.faults
+        outage_at = self._outage_at
+        fault_seed = prep.fault_seed
+        p_crash = prep.p_crash
+        p_part = prep.p_part
+        interval = prep.interval
+        upload_retries = prep.upload_retries
+        backoff = prep.backoff
+        threshold = prep.degraded_threshold
+        r_cpu: List[float] = []
+        r_rb: List[float] = []
+        r_att: List[int] = []
+        uploads_retried = uploads_lost = vm_crashes = part_n = 0
+        degraded_validated = 0
+        rolled_back_cpu = lost_upload_cpu = 0.0
+        backlog = 0
+        degraded = False
+        deg_since = 0.0
+        deg_n = 0
+        deg_s = 0.0
+
         heap: List[Tuple[float, int, int, int]] = []
         seq = 0
         for h in range(n):
@@ -855,8 +948,35 @@ class FleetServer:
         err_cpu = stale_cpu = red_cpu = 0.0
         waste = [0.0] * n
 
+        def reissue(wid: int) -> None:
+            """Queue another replica when the quorum is no longer
+            reachable from matching results plus outstanding replicas."""
+            if wu_validated[wid] is not None:
+                return
+            hl = wu_holders[wid]
+            if ((0 if hl is None else len(hl)) + wu_out[wid] < quorum
+                    and wu_issued[wid] < max_replicas):
+                need.append(wid)
+
+        def validate(wid: int, now: float) -> None:
+            nonlocal n_valid
+            wu_validated[wid] = now
+            n_valid += 1
+
         def dispatch(h: int, now: float) -> None:
-            nonlocal seq
+            nonlocal seq, vm_crashes
+            window = outage_at(now) if faults else None
+            if window is not None:
+                # scheduler down: the host re-polls when the window ends
+                # (poll-failure backoff untouched)
+                end = window[1]
+                limit = departure[h]
+                if horizon < limit:
+                    limit = horizon
+                if end < limit:
+                    push(heap, (end, seq, _REQUEST, h))
+                    seq += 1
+                return
             wid = -1
             stash = None
             while need:
@@ -900,19 +1020,24 @@ class FleetServer:
             while c + 1 < hi and fs[c + 1] <= now:
                 c += 1
             cur[h] = c
-            fin = None
-            remaining = an[h]
-            for j in range(c, hi):
-                s = fs[j]
-                e = fe[j]
-                lo = s if s > now else now
-                if lo >= e:
-                    continue
-                span = e - lo
-                if span >= remaining:
-                    fin = lo + remaining
-                    break
-                remaining -= span
+            needed = an[h]
+            if faults:
+                rolled = 0.0
+                if p_crash > 0.0 \
+                        and fault_draw(fault_seed, "vm.crash", rid, 0) < p_crash:
+                    # crash point as a fraction of this replica's
+                    # compute; the guest redoes progress − last
+                    # checkpoint, and only a crash the trace reaches counts
+                    progress = fault_draw(fault_seed, "vm.crash", rid, 0,
+                                          "at") * needed
+                    if _csr_finish(fs, fe, c, hi, now, progress) is not None:
+                        rolled = rollback_seconds(progress, interval)
+                        needed += rolled
+                        vm_crashes += 1
+                r_cpu.append(needed)
+                r_rb.append(rolled)
+                r_att.append(0)
+            fin = _csr_finish(fs, fe, c, hi, now, needed)
             r_pack.append((wid, h, deadline))
             r_disp.append(now)
             r_flag.append(0)
@@ -926,11 +1051,132 @@ class FleetServer:
             if fin is not None and fin <= horizon:
                 push(heap, (fin, seq, _COMPLETE, rid))
                 seq += 1
-                if deadline < fin:
+                if deadline < fin or (faults and deadline <= horizon):
                     push(heap, (deadline, seq, _DEADLINE, rid))
                     seq += 1
             elif deadline <= horizon:
                 push(heap, (deadline, seq, _DEADLINE, rid))
+                seq += 1
+
+        def deliver(rid: int, now: float) -> None:
+            nonlocal ok_n, err_n, stale_n, red_n, err_cpu, stale_cpu, \
+                red_cpu, degraded_validated
+            wid, h, deadline = r_pack[rid]
+            fl = r_flag[rid]
+            r_flag[rid] = fl | 2
+            # rolled-back seconds are already their own waste bucket
+            useful = r_cpu[rid] - r_rb[rid] if faults else an[h]
+            if fl & 1 or now > deadline:
+                # past deadline: the server already reassigned; discard
+                stale_n += 1
+                stale_cpu += useful
+                waste[h] += useful
+                if not fl & 1:
+                    wu_out[wid] -= 1
+                    r_flag[rid] = fl | 3
+                reissue(wid)
+                return
+            wu_out[wid] -= 1
+            if wu_validated[wid] is not None:
+                red_n += 1
+                red_cpu += useful
+                waste[h] += useful
+                return
+            u = ucur[h]
+            ucur[h] = u + 1
+            while u >= len(draws):
+                round_draws = array("d")
+                round_draws.frombytes(serve_vec.doubles().tobytes())
+                draws.append(round_draws)
+            if draws[u][h] < err_rate:
+                err_n += 1
+                err_cpu += useful
+                waste[h] += useful
+                if quorum == 1 and wu_state[wid] == 0:
+                    wu_state[wid] = 2
+                reissue(wid)
+                return
+            ok_n += 1
+            ret_wid.append(wid)
+            ret_host.append(h)
+            ret_cpu.append(useful)
+            if wu_state[wid] == 0:
+                hl = wu_holders[wid]
+                if hl is None:
+                    hl = wu_holders[wid] = [h]
+                else:
+                    hl.append(h)
+                if len(hl) >= quorum:
+                    wu_state[wid] = 1
+                    validate(wid, now)
+                    return
+                lone = 5
+            else:
+                lone = 3  # bad-locked: the match can never validate
+            if degraded:
+                # degraded mode: the server accepts this lone result as
+                # quorum-of-1 — a validation risk, counted as such
+                wu_state[wid] = lone
+                validate(wid, now)
+                degraded_validated += 1
+            else:
+                reissue(wid)
+
+        def update_degraded(now: float) -> None:
+            """Degraded-mode hysteresis on the buffered-upload backlog."""
+            nonlocal degraded, deg_since, deg_n, deg_s
+            if threshold <= 0:
+                return
+            if not degraded and backlog > threshold:
+                degraded = True
+                deg_since = now
+            elif degraded and backlog == 0:
+                degraded = False
+                deg_n += 1
+                deg_s += now - deg_since
+
+        def drop_upload(rid: int) -> None:
+            """Retry budget exhausted: the computed result is lost."""
+            nonlocal uploads_lost, lost_upload_cpu
+            wid, h, _deadline = r_pack[rid]
+            fl = r_flag[rid]
+            r_flag[rid] = fl | 2
+            uploads_lost += 1
+            useful = r_cpu[rid] - r_rb[rid]
+            lost_upload_cpu += useful
+            waste[h] += useful
+            if not fl & 1:
+                wu_out[wid] -= 1
+                r_flag[rid] = fl | 3
+            reissue(wid)
+
+        def attempt_upload(rid: int, now: float) -> None:
+            """Deliver a finished result, or buffer it for a retry when
+            an outage or a ``net.partition`` draw blocks this attempt."""
+            nonlocal seq, backlog, uploads_retried, part_n
+            window = outage_at(now)
+            if window is not None:
+                earliest = window[1]
+            elif not (p_part > 0.0 and fault_draw(
+                    fault_seed, "net.partition", rid, r_att[rid]) < p_part):
+                deliver(rid, now)
+                return
+            else:
+                part_n += 1
+                earliest = now
+            attempt = r_att[rid]
+            r_att[rid] = attempt + 1
+            if attempt >= upload_retries:
+                drop_upload(rid)
+                return
+            uploads_retried += 1
+            retry_at = now + backoff * (2.0 ** attempt)
+            if earliest > retry_at:
+                retry_at = earliest
+            backlog += 1
+            update_degraded(now)
+            if retry_at <= horizon:
+                push(heap, (retry_at, seq, _UPLOAD, rid))
                 seq += 1
 
         while heap:
@@ -939,95 +1185,42 @@ class FleetServer:
                 break
             if kind == _COMPLETE:
                 rid = payload
-                wid, h, deadline = r_pack[rid]
-                fl = r_flag[rid]
-                r_flag[rid] = fl | 2
+                h = r_pack[rid][1]
                 redispatch = n_valid < nwu
                 if redispatch and heap and heap[0][0] == time_s:
                     # a tied event must process first: fall back to the
-                    # classic re-poll push (delivery pushes no events,
-                    # so relative order matches the object loop)
+                    # classic re-poll push (delivery pushes no events at
+                    # this time, so relative order matches the object loop)
                     push(heap, (time_s, seq, _REQUEST, h))
                     seq += 1
                     redispatch = False
-                useful = an[h]
-                if fl or time_s > deadline:
-                    stale_n += 1
-                    stale_cpu += useful
-                    waste[h] += useful
-                    if not fl:
-                        wu_out[wid] -= 1
-                        r_flag[rid] = 3
-                    if wu_validated[wid] is None:
-                        hl = wu_holders[wid]
-                        if ((0 if hl is None else len(hl)) + wu_out[wid]
-                                < quorum) and wu_issued[wid] < max_replicas:
-                            need.append(wid)
-                elif wu_validated[wid] is not None:
-                    wu_out[wid] -= 1
-                    red_n += 1
-                    red_cpu += useful
-                    waste[h] += useful
+                if faults:
+                    r_flag[rid] |= 4
+                    rolled = r_rb[rid]
+                    if rolled:
+                        rolled_back_cpu += rolled
+                        waste[h] += rolled
+                    attempt_upload(rid, time_s)
                 else:
-                    wu_out[wid] -= 1
-                    u = ucur[h]
-                    ucur[h] = u + 1
-                    while u >= len(draws):
-                        round_draws = array("d")
-                        round_draws.frombytes(serve_vec.doubles().tobytes())
-                        draws.append(round_draws)
-                    if draws[u][h] < err_rate:
-                        err_n += 1
-                        err_cpu += useful
-                        waste[h] += useful
-                        if quorum == 1 and wu_state[wid] == 0:
-                            wu_state[wid] = 2
-                        hl = wu_holders[wid]
-                        if ((0 if hl is None else len(hl)) + wu_out[wid]
-                                < quorum) and wu_issued[wid] < max_replicas:
-                            need.append(wid)
-                    else:
-                        ok_n += 1
-                        ret_wid.append(wid)
-                        ret_host.append(h)
-                        ret_cpu.append(useful)
-                        if wu_state[wid] == 0:
-                            hl = wu_holders[wid]
-                            if hl is None:
-                                hl = wu_holders[wid] = [h]
-                            else:
-                                hl.append(h)
-                            if len(hl) >= quorum:
-                                wu_state[wid] = 1
-                                wu_validated[wid] = time_s
-                                n_valid += 1
-                            elif (len(hl) + wu_out[wid] < quorum
-                                  and wu_issued[wid] < max_replicas):
-                                need.append(wid)
-                        else:
-                            # bad-locked: the match can never validate
-                            hl = wu_holders[wid]
-                            if ((0 if hl is None else len(hl)) + wu_out[wid]
-                                    < quorum) \
-                                    and wu_issued[wid] < max_replicas:
-                                need.append(wid)
+                    deliver(rid, time_s)
                 if redispatch:
                     dispatch(h, time_s)
             elif kind == _REQUEST:
                 dispatch(payload, time_s)
+            elif kind == _UPLOAD:
+                backlog -= 1
+                attempt_upload(payload, time_s)
+                update_degraded(time_s)
             else:
                 rid = payload
-                if not r_flag[rid]:
-                    r_flag[rid] = 1
+                if not r_flag[rid] & 3:
+                    r_flag[rid] |= 1
                     wid = r_pack[rid][0]
                     wu_out[wid] -= 1
                     if wu_validated[wid] is None:
                         wu_tmo[wid] += 1
                         tmo_n += 1
-                        hl = wu_holders[wid]
-                        if ((0 if hl is None else len(hl)) + wu_out[wid]
-                                < quorum) and wu_issued[wid] < max_replicas:
-                            need.append(wid)
+                        reissue(wid)
 
         hold_flat = np.full(nwu * quorum, -1, dtype=np.int32)
         nhold = np.zeros(nwu, dtype=np.uint8)
@@ -1061,7 +1254,22 @@ class FleetServer:
                                   count=len(r_pack)),
             "r_disp": np.array(r_disp, dtype=np.float64),
             "r_flag": np.frombuffer(bytes(r_flag), dtype=np.uint8),
+            "r_cpu": np.array(r_cpu, dtype=np.float64),
+            "r_rb": np.array(r_rb, dtype=np.float64),
+            "r_att": np.array(r_att, dtype=np.int32),
             "waste": np.array(waste, dtype=np.float64),
+            "uploads_retried": uploads_retried,
+            "uploads_lost": uploads_lost,
+            "vm_crashes": vm_crashes,
+            "part_n": part_n,
+            "degraded_validated": degraded_validated,
+            "rolled_back_cpu": rolled_back_cpu,
+            "lost_upload_cpu": lost_upload_cpu,
+            "backlog": backlog,
+            "degraded": int(degraded),
+            "deg_since": deg_since,
+            "deg_n": deg_n,
+            "deg_s": deg_s,
         }
 
     def _fast_report(self, prep: _FastPrep,
@@ -1117,10 +1325,19 @@ class FleetServer:
         for wid, h, cpu in zip(rw, rh, rc):
             if wid != prev_wid:
                 prev_wid = wid
-                validated = st[wid] == 1
-                if validated:
-                    b = wid * quorum
+                code = st[wid]
+                validated = code & 1
+                b = wid * quorum
+                if code == 1:
                     qset = set(hold_flat[b:b + nhold[wid]])
+                elif code == 5:
+                    # degraded quorum-of-1: the lone accepted result
+                    # (the last holder) is the load-bearing one
+                    qset = {hold_flat[b + nhold[wid] - 1]}
+                else:
+                    # bad-locked: the validator's quorum is the bad key,
+                    # so no ok return is load-bearing
+                    qset = set()
             if validated:
                 if h in qset:
                     quorum_cpu += cpu
@@ -1131,7 +1348,8 @@ class FleetServer:
             else:
                 pending_cpu += cpu
 
-        lost_cpu = 0.0
+        lost_cpu = state["lost_upload_cpu"]
+        rolled_back = state["rolled_back_cpu"]
         in_flight_cpu = 0.0
         r_flag = state["r_flag"]
         incomplete = np.flatnonzero((r_flag & 2) == 0)
@@ -1142,7 +1360,21 @@ class FleetServer:
             departure = prep.departure.tolist()
             hosts_sub = state["r_host"][incomplete].tolist()
             disp_sub = state["r_disp"][incomplete].tolist()
-            for h, start in zip(hosts_sub, disp_sub):
+            flag_sub = r_flag[incomplete].tolist()
+            if prep.faults:
+                cpu_sub = state["r_cpu"][incomplete].tolist()
+                rb_sub = state["r_rb"][incomplete].tolist()
+            else:
+                cpu_sub = rb_sub = [0.0] * incomplete.size
+            for h, start, fl, cpu, rb in zip(hosts_sub, disp_sub, flag_sub,
+                                             cpu_sub, rb_sub):
+                if fl & 4:
+                    # computed, upload still buffered at the horizon: the
+                    # result never lands, so its useful seconds are lost
+                    useful = cpu - rb
+                    lost_cpu += useful
+                    waste[h] += useful
+                    continue
                 spent = 0.0
                 if horizon > start:
                     lo_i = off[h]
@@ -1160,13 +1392,18 @@ class FleetServer:
                         if hi2 > lo:
                             spent += hi2 - lo
                         j += 1
+                if rb:
+                    # the crash landed in-trace (traces end at the
+                    # horizon), so its redone seconds are rollback waste
+                    rolled_back += rb
+                    waste[h] += rb
+                    spent -= rb
                 if departure[h] <= horizon:
                     lost_cpu += spent
                     waste[h] += spent
                 else:
                     in_flight_cpu += spent
 
-        rolled_back = 0.0
         wasted = (err_cpu + stale_cpu + redundant_cpu + lost_cpu
                   + rolled_back)
         total_cpu = quorum_cpu + wasted + pending_cpu + in_flight_cpu
@@ -1174,7 +1411,7 @@ class FleetServer:
 
         wu_issued = state["wu_issued"]
         wu_out = state["wu_out"]
-        not_valid = wu_state != 1
+        not_valid = (wu_state & 1) == 0
         unsent = int(np.count_nonzero(not_valid & (wu_issued == 0)))
         started = not_valid & (wu_issued > 0)
         failed = int(np.count_nonzero(
@@ -1222,6 +1459,14 @@ class FleetServer:
                 "slowdown": fleet_slowdown(name),
             }
 
+        # degraded windows: the closed ones, plus one still open at the
+        # horizon; Python's sum() of no windows is the integer 0
+        degraded_windows = state["deg_n"]
+        degraded_s = state["deg_s"]
+        if state["degraded"]:
+            degraded_windows += 1
+            degraded_s += horizon - state["deg_since"]
+
         # expose the classic tallies for introspection parity
         self._n_valid = n_valid
         self.results_ok = ok_n
@@ -1232,6 +1477,12 @@ class FleetServer:
         self.erroneous_cpu_s = err_cpu
         self.stale_cpu_s = stale_cpu
         self.redundant_cpu_s = red_cpu
+        self.uploads_retried = state["uploads_retried"]
+        self.uploads_lost = state["uploads_lost"]
+        self.vm_crashes = state["vm_crashes"]
+        self.rolled_back_cpu_s = rolled_back
+        self.lost_upload_cpu_s = state["lost_upload_cpu"]
+        self.degraded_validated = state["degraded_validated"]
         self._wasted_by_host = {
             h: v for h, v in enumerate(waste) if v != 0.0}
 
@@ -1270,15 +1521,15 @@ class FleetServer:
             realized_availability=realized_availability,
             per_hypervisor=per_hv,
             recovery={
-                "outages": 0,
-                "outage_s": 0,
-                "uploads_retried": 0,
-                "uploads_lost": 0,
-                "vm_crashes": 0,
-                "rolled_back_s": 0.0,
-                "degraded_windows": 0,
-                "degraded_s": 0,
-                "degraded_validated": 0,
+                "outages": len(self._outages),
+                "outage_s": sum(end - start for start, end in self._outages),
+                "uploads_retried": state["uploads_retried"],
+                "uploads_lost": state["uploads_lost"],
+                "vm_crashes": state["vm_crashes"],
+                "rolled_back_s": rolled_back,
+                "degraded_windows": degraded_windows,
+                "degraded_s": degraded_s if degraded_windows else 0,
+                "degraded_validated": state["degraded_validated"],
             },
         )
 
@@ -1455,28 +1706,29 @@ def simulate_fleet(config: FleetConfig,
     :data:`repro.fleet.host.MIN_PARALLEL_HOSTS` — small fleets run
     serially because pool dispatch would cost more than it saves.
 
-    Fault-free runs build :class:`~repro.fleet.columns.FleetColumns`
-    (byte-identical to the object build) and take the columnar loop;
-    fault storms mutate per-host traces (``host.dropout``) and consult
-    the injector mid-event, so they keep the object path.
+    Every run builds :class:`~repro.fleet.columns.FleetColumns`
+    (byte-identical to the object build).  Under a fault plan the
+    ``host.dropout`` site is a pre-pass that clips the CSR traces; the
+    other fleet sites fire inside the event loop.  With metrics off the
+    columnar loop runs fault-free and storm runs alike; an enabled
+    metrics registry (the ``repro fleet``/``repro campaign`` default)
+    moves the run onto the classic object loop.
     """
-    if FAULTS.enabled:
-        hosts = build_fleet_hosts(config, jobs=jobs)
-        dropouts = _apply_host_dropout(hosts, config.duration_s)
-        return FleetServer(config, hosts, dropouts=dropouts).run()
     columns = build_fleet_columns(config, jobs=jobs)
-    return FleetServer(config, columns).run()
+    dropouts = _apply_host_dropout(columns, config.duration_s) \
+        if FAULTS.enabled else 0
+    return FleetServer(config, columns, dropouts=dropouts).run()
 
 
-def _apply_host_dropout(hosts: List[FleetHost], horizon_s: float) -> int:
+def _apply_host_dropout(columns: FleetColumns, horizon_s: float) -> int:
     """Injection site ``host.dropout``: permanently remove hosts early.
 
     Each selected host departs at a deterministic fraction of the
     horizon (drawn from the fault plan, keyed by host index): its
     departure time is truncated and later availability sessions are
-    clipped.  This *changes results by design* — the fault-plan token is
-    folded into the cache identity so such runs never collide with
-    fault-free ones.
+    clipped (:meth:`FleetColumns.depart_early`).  This *changes results
+    by design* — the fault-plan token is folded into the cache identity
+    so such runs never collide with fault-free ones.
 
     A dropout drawn *after* the host's own permanent departure is a
     no-op and is neither tallied as an injection nor counted in the
@@ -1485,18 +1737,18 @@ def _apply_host_dropout(hosts: List[FleetHost], horizon_s: float) -> int:
     it (``report.departures`` counts each departed host once;
     ``report.dropouts`` counts only dropouts that moved a departure).
     """
-    dropouts = 0
-    for host in hosts:
-        if not FAULTS.would_fire("host.dropout", key=host.index, attempt=0):
+    hosts: List[int] = []
+    at_s: List[float] = []
+    departure = columns.departure_s.tolist()
+    for index in range(len(columns)):
+        if not FAULTS.would_fire("host.dropout", key=index, attempt=0):
             continue
-        dropout_s = FAULTS.uniform("host.dropout", key=host.index) \
-            * horizon_s
-        if dropout_s >= host.departure_s:
+        dropout_s = FAULTS.uniform("host.dropout", key=index) * horizon_s
+        if dropout_s >= departure[index]:
             continue  # already departed on its own: nothing to inject
-        FAULTS.record("host.dropout")
-        dropouts += 1
-        host.departure_s = dropout_s
-        host.sessions = [(start, min(end, dropout_s))
-                         for start, end in host.sessions
-                         if start < dropout_s]
-    return dropouts
+        hosts.append(index)
+        at_s.append(dropout_s)
+    if hosts:
+        FAULTS.record("host.dropout", len(hosts))
+        columns.depart_early(hosts, at_s)
+    return len(hosts)

@@ -4,19 +4,21 @@ For arbitrary (seed, quorum, error rate, hypervisor, horizon) draws,
 ``simulate_fleet`` — columns, vectorised RNG, the C kernel when a
 compiler is present, Python fallback otherwise — must reproduce the
 archived pre-columnar server (:mod:`tests._reference_fleet`) byte for
-byte through ``FleetReport.to_dict()``.  Under a fault storm both
-implementations take the object path, so the same identity pins the
-hot-path bugfixes (start-list rebuild, bisected outage lookup, gated
-re-poll) as pure refactors there too.
+byte through ``FleetReport.to_dict()``.  Under a fault storm —
+outages, partitions, VM crashes and host dropouts, with degraded mode
+and the upload retry budget drawn too — the live side runs the columnar
+recovery state machine twice, once on the C kernel and once on the
+pure-Python loop, and both must equal the oracle's object-path run.
 """
 
 import json
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 import tests._reference_fleet as ref
 from repro.faults import FaultPlan, injected
-from repro.fleet import FleetConfig, simulate_fleet
+from repro.fleet import FleetConfig, server, simulate_fleet
 
 scenarios = st.fixed_dictionaries({
     "seed": st.integers(min_value=0, max_value=2**32 - 1),
@@ -58,9 +60,15 @@ def test_columnar_report_byte_identical_to_reference(draw):
 @settings(max_examples=10, deadline=None)
 @given(scenarios,
        st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
-       st.floats(min_value=0.0, max_value=0.5, allow_nan=False))
-def test_storm_report_byte_identical_to_reference(draw, outage, crash):
-    config = build_config(draw)
+       st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
+       st.sampled_from([0, 2, 8]),
+       st.sampled_from([0, 1, 3]))
+def test_storm_report_byte_identical_to_reference(draw, outage, crash,
+                                                  degraded_threshold,
+                                                  upload_retries):
+    config = build_config(draw).with_overrides(
+        degraded_threshold=degraded_threshold,
+        upload_retries=upload_retries)
 
     def plan():
         # plans carry per-(site, key) attempt counters, so each run
@@ -68,11 +76,16 @@ def test_storm_report_byte_identical_to_reference(draw, outage, crash):
         return (FaultPlan(seed=draw["seed"] % 65536)
                 .arm("server.outage", outage)
                 .arm("net.partition", crash / 2.0)
-                .arm("vm.crash", crash))
+                .arm("vm.crash", crash)
+                .arm("host.dropout", crash / 4.0))
 
     with injected(plan()):
-        live = simulate_fleet(config, jobs=1).to_dict()
+        expected = json.dumps(ref.simulate_fleet(config, jobs=1).to_dict(),
+                              sort_keys=True)
     with injected(plan()):
-        expected = ref.simulate_fleet(config, jobs=1).to_dict()
-    assert json.dumps(live, sort_keys=True) == \
-        json.dumps(expected, sort_keys=True)
+        kernel = simulate_fleet(config, jobs=1).to_dict()
+    with injected(plan()), \
+            mock.patch.object(server, "_c_event_loop", lambda prep: None):
+        fallback = simulate_fleet(config, jobs=1).to_dict()
+    assert json.dumps(kernel, sort_keys=True) == expected
+    assert json.dumps(fallback, sort_keys=True) == expected

@@ -1,6 +1,6 @@
 """Fast-loop equivalence and hot-path bugfix regressions.
 
-Pins the three contracts the columnar rewrite rides on:
+Pins the contracts the columnar rewrite rides on:
 
 * ``_percentile`` nearest-rank rounding is parity-stable (the
   half-up fix — ``round``'s banker's rounding flipped the p50 between
@@ -9,25 +9,36 @@ Pins the three contracts the columnar rewrite rides on:
   byte-identical to the archived pre-change server
   (:mod:`tests._reference_fleet`);
 * the compiled C event kernel and the pure-Python fallback produce the
-  same canonical flat state, and the whole fast path reproduces the
-  oracle's :meth:`FleetReport.to_dict` byte for byte.
+  same canonical flat state — fault-free and under a storm, with the
+  kernel's SHA-256 fault draws pinned bit for bit to the Python ones —
+  and the whole fast path reproduces the oracle's
+  :meth:`FleetReport.to_dict` byte for byte;
+* a metrics-off storm never falls back to the classic object loop, and
+  its bulk fault tallies equal the classic loop's one-by-one ones.
 """
 
 import json
+from unittest import mock
 
 import pytest
 
 import tests._reference_fleet as ref
+from repro import api
+from repro.faults import FAULTS, RUNLOG, injected, parse_fault_spec
+from repro.faults.plan import _draw
 from repro.fleet import (
     FleetConfig,
+    FleetHost,
     FleetServer,
     build_fleet_columns,
     build_fleet_hosts,
     simulate_fleet,
 )
+from repro.fleet import server as server_module
 from repro.fleet.cloop import available as cloop_available
-from repro.fleet.cloop import run_event_loop
-from repro.fleet.server import _percentile
+from repro.fleet.cloop import fault_draw, run_event_loop
+from repro.fleet.server import _apply_host_dropout, _percentile
+from repro.obs.metrics import METRICS
 
 CONFIGS = [
     FleetConfig(hosts=60, seed=7, duration_s=43200.0, workunits=120,
@@ -37,6 +48,22 @@ CONFIGS = [
     FleetConfig(hosts=80, seed=3, duration_s=86400.0, workunits=200,
                 quorum=3, max_replicas=5, error_rate=0.1,
                 hypervisor="qemu", checkpoint_interval_s=3600.0),
+]
+
+
+#: The perfbench storm (plus a seed): every fleet recovery site armed.
+STORM = ("seed=11,server.outage=0.35,net.partition=0.3,vm.crash=0.3,"
+         "host.dropout=0.05")
+
+#: Storm cases for the kernel-vs-fallback state comparison: degraded
+#: mode off/on, retry budgets 0/1/3, with and without checkpoints.
+STORM_CASES = [
+    CONFIGS[0].with_overrides(checkpoint_interval_s=1800.0,
+                              degraded_threshold=2, upload_retries=3),
+    CONFIGS[1].with_overrides(degraded_threshold=8, upload_retries=0),
+    CONFIGS[2].with_overrides(degraded_threshold=0, upload_retries=1),
+    # outages of up to three hours: buffered uploads outlive deadlines
+    CONFIGS[0].with_overrides(outage_scale_s=10800.0, degraded_threshold=4),
 ]
 
 
@@ -98,17 +125,37 @@ class TestFastMatchesOracle:
         live = simulate_fleet(config, jobs=1).to_dict()
         assert canonical(live) == canonical(oracle_dict(config))
 
+    @pytest.mark.parametrize("config", STORM_CASES,
+                             ids=[f"storm{i}" for i in range(4)])
+    @pytest.mark.parametrize("kernel", [True, False], ids=["c", "python"])
+    def test_storm_columnar_path_byte_identical(self, config, kernel):
+        with injected(parse_fault_spec(STORM)):
+            expected = ref.simulate_fleet(config, jobs=1).to_dict()
+        with injected(parse_fault_spec(STORM)), mock.patch.object(
+                server_module, "_c_event_loop",
+                run_event_loop if kernel else (lambda prep: None)):
+            live = simulate_fleet(config, jobs=1).to_dict()
+        assert canonical(live) == canonical(expected)
+
 
 class TestKernelMatchesFallback:
     """C kernel and Python fallback emit the same canonical state."""
 
-    @pytest.mark.parametrize("config", CONFIGS)
-    def test_state_dicts_identical(self, config):
+    @pytest.mark.parametrize(
+        "config,storm",
+        [(c, None) for c in CONFIGS] + [(c, STORM) for c in STORM_CASES],
+        ids=[f"config{i}" for i in range(len(CONFIGS))]
+        + [f"storm{i}" for i in range(len(STORM_CASES))])
+    def test_state_dicts_identical(self, config, storm):
         if not cloop_available():
             pytest.skip("no C compiler / kernel unavailable")
         columns = build_fleet_columns(config, jobs=1)
-        server = FleetServer(config, columns)
-        prep = server._fast_prep()
+        with injected(parse_fault_spec(storm or "seed=0")):
+            if storm:
+                _apply_host_dropout(columns, config.duration_s)
+            server = FleetServer(config, columns)
+            prep = server._fast_prep()
+        assert prep.faults == bool(storm)
         c_state = run_event_loop(prep)
         assert c_state is not None
         py_state = server._fast_loop_python(prep)
@@ -119,3 +166,83 @@ class TestKernelMatchesFallback:
                 assert c_val.tobytes() == p_val.tobytes(), key
             else:
                 assert c_val == p_val, key
+        if storm:
+            # the per-replica recovery columns are populated and compared
+            assert len(c_state["r_rb"]) == c_state["n_rep"]
+            assert c_state["vm_crashes"] > 0
+            assert c_state["uploads_retried"] + c_state["uploads_lost"] > 0
+
+    def test_fault_draw_port_is_bit_identical(self):
+        if not cloop_available():
+            pytest.skip("no C compiler / kernel unavailable")
+        for seed in (0, -1, 2**63 + 5, 2**70):
+            for salt in ("", "at"):
+                for attempt in range(5):
+                    got = [fault_draw(seed, "vm.crash", key, attempt, salt)
+                           for key in range(5001)]
+                    want = [_draw(seed, "vm.crash", key, attempt, salt)
+                            for key in range(5001)]
+                    assert got == want, (seed, salt, attempt)
+        # a prefix past one SHA-256 block still hashes identically
+        long_seed = 10**80
+        assert fault_draw(long_seed, "net.partition", 7, 3, "at") \
+            == _draw(long_seed, "net.partition", 7, 3, "at")
+
+
+class TestStormsStayColumnar:
+    CONFIG = FleetConfig(hosts=120, hypervisor="mixed", seed=5,
+                         duration_s=43200.0, checkpoint_interval_s=1800.0,
+                         degraded_threshold=4)
+
+    def test_metrics_off_storm_never_enters_the_classic_loop(self):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("storm fell back to the classic loop")
+
+        guards = (mock.patch.object(FleetHost, "__init__", forbidden),
+                  mock.patch.object(FleetServer, "_init_classic_state",
+                                    forbidden),
+                  mock.patch.object(FleetServer, "_report", forbidden))
+        with injected(parse_fault_spec(STORM)):
+            with guards[0], guards[1], guards[2]:
+                report = simulate_fleet(self.CONFIG, jobs=1)
+            assert report.recovery["vm_crashes"] > 0
+            assert report.dropouts > 0
+            # the guards do bite: metrics on is the classic loop's caller
+            METRICS.enable(reset=True)
+            try:
+                with guards[0], guards[1], guards[2], \
+                        pytest.raises(AssertionError, match="classic"):
+                    simulate_fleet(self.CONFIG, jobs=1)
+            finally:
+                METRICS.disable()
+
+    def test_bulk_fault_tally_matches_the_classic_loop(self, tmp_path):
+        RUNLOG.clear()
+        with injected(parse_fault_spec(STORM)) as fast_plan:
+            fast = simulate_fleet(self.CONFIG, jobs=1)
+        fast_runlog = dict(RUNLOG.injected)
+        fast_section = api._faults_section(fast_plan, None)
+        assert sorted(fast_plan.injected) == [
+            "host.dropout", "net.partition", "server.outage", "vm.crash"]
+
+        RUNLOG.clear()
+        METRICS.enable(reset=True)
+        try:
+            with injected(parse_fault_spec(STORM)) as classic_plan:
+                classic = simulate_fleet(self.CONFIG, jobs=1)
+        finally:
+            METRICS.disable()
+        assert fast.to_dict() == classic.to_dict()
+        assert fast_plan.injected == classic_plan.injected
+        assert fast_runlog == RUNLOG.injected
+
+        result = api.run(api.RunRequest(
+            kind="fleet", target=self.CONFIG,
+            config=api.RunConfig(metrics=True, cache=False, jobs=1,
+                                 fault_spec=STORM,
+                                 runs_dir=str(tmp_path))))
+        with open(result.manifest_path) as handle:
+            manifest = json.load(handle)
+        assert manifest["faults"] == fast_section
+        assert not FAULTS.enabled
+        RUNLOG.clear()
