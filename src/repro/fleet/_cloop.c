@@ -10,10 +10,14 @@
  *
  * All memory is owned by Python (numpy arrays); this kernel only reads
  * and writes through the pointers in FleetCtx.  When a buffer would
- * overflow or the pre-drawn uniform supply runs dry, the kernel returns
- * a pause status *before* consuming the event; the ctypes wrapper grows
- * or refills the buffer, updates the context, and calls fleet_run again
- * — the loop resumes exactly where it stopped.
+ * overflow, the kernel returns a pause status *before* consuming the
+ * event; the ctypes wrapper grows the buffer, updates the context, and
+ * calls fleet_run again — the loop resumes exactly where it stopped.
+ *
+ * The serve-stream error uniforms are drawn here too: Python seeds one
+ * PCG64 stream per host and passes each lane's 128-bit state and
+ * increment; `deliver` steps host h's lane whenever it consumes h's
+ * next uniform, exactly as numpy's PCG64 `next_double` would.
  *
  * Fault storms run the same recovery state machine as the Python loop
  * (outage windows, vm.crash rollback, upload retries over net.partition,
@@ -24,19 +28,22 @@
  * "{key}|{attempt}|{salt}", so it never calls back into Python and any
  * seed (negative, past int64) hashes exactly as in Python.
  *
+ * A second entry point, fleet_report, transliterates the order-sensitive
+ * folds of the report (`repro.fleet.server._report_folds`) over the flat
+ * state the loop leaves behind.
+ *
  * Every struct field is 8 bytes wide (int64/double/pointer) so the
- * layout matches the ctypes.Structure in cloop.py with no padding.
+ * layouts match the ctypes.Structures in cloop.py with no padding.
  */
 
 #include <stdint.h>
 #include <string.h>
 
 #define ST_DONE 0
-#define ST_NEED_DRAWS 1
-#define ST_GROW_HEAP 2
-#define ST_GROW_NEED 3
-#define ST_GROW_REP 4
-#define ST_GROW_RET 5
+#define ST_GROW_HEAP 1
+#define ST_GROW_NEED 2
+#define ST_GROW_REP 3
+#define ST_GROW_RET 4
 
 #define K_REQUEST 0
 #define K_DEADLINE 1
@@ -47,6 +54,49 @@
 #define F_TIMED_OUT 1
 #define F_COMPLETED 2           /* delivered or lost */
 #define F_COMPUTED 4            /* storms: compute done, upload pending */
+
+/* ---- PCG64 (numpy's: 128-bit LCG, XSL-RR output) ---------------------- */
+
+#define PCG_MULT_HI 2549297995355413924ULL
+#define PCG_MULT_LO 4865540595714422341ULL
+
+/* full 64x64 -> 128-bit product on 32-bit halves (portable C99) */
+static void mul64(uint64_t a, uint64_t b, uint64_t *hi, uint64_t *lo)
+{
+    uint64_t a0 = a & 0xffffffffu, a1 = a >> 32;
+    uint64_t b0 = b & 0xffffffffu, b1 = b >> 32;
+    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0, p11 = a1 * b1;
+    uint64_t mid = (p00 >> 32) + (p01 & 0xffffffffu) + (p10 & 0xffffffffu);
+    *lo = (mid << 32) | (p00 & 0xffffffffu);
+    *hi = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+}
+
+/* step one lane (st/inc = {lo, hi}) and return its next double:
+ * state = state * MULT + inc (mod 2^128), XSL-RR, then (x >> 11) * 2^-53 */
+static double pcg_double(uint64_t *st, const uint64_t *inc)
+{
+    uint64_t hi, lo;
+    mul64(st[0], PCG_MULT_LO, &hi, &lo);
+    hi += st[0] * PCG_MULT_HI + st[1] * PCG_MULT_LO;
+    lo += inc[0];
+    hi += inc[1] + (lo < inc[0]);
+    st[0] = lo;
+    st[1] = hi;
+    uint64_t v = hi ^ lo;
+    unsigned rot = (unsigned)(hi >> 58);
+    v = (v >> rot) | (v << ((64 - rot) & 63));
+    return (double)(v >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* `draws` doubles from each of n lanes, lane-major (out[i * draws + k]),
+ * advancing the lanes in place — the test hook for pcg_double */
+void serve_doubles(uint64_t *state, const uint64_t *inc, int64_t n,
+                   int64_t draws, double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t k = 0; k < draws; k++)
+            out[i * draws + k] = pcg_double(state + 2 * i, inc + 2 * i);
+}
 
 /* ---- SHA-256 (FIPS 180-4), just enough for fault_draw ---------------- */
 
@@ -188,9 +238,9 @@ typedef struct {
     const double *fs, *fe;
     const int64_t *soff;
     const double *departure, *an, *base, *stretch, *delays;
-    /* pre-drawn serve-stream uniforms: rounds x n, row-major */
-    const double *draws;
-    int64_t rounds_avail;
+    /* per-host serve-stream PCG64 lanes: {lo, hi} words per host */
+    uint64_t *serve_state;
+    const uint64_t *serve_inc;
     /* work-unit state */
     uint8_t *wu_state;          /* 0 open, 1 validated, 2 bad-locked;
                                    degraded quorum-of-1 validated: 5 from
@@ -219,7 +269,7 @@ typedef struct {
     int64_t heap_len, heap_cap;
     /* per-host mutable state */
     double *waste;
-    int32_t *ucur, *poll_fail;
+    int32_t *poll_fail;
     int64_t *cur;               /* monotone session cursor */
     /* scalars */
     int64_t seq, n_valid, n_rep, ret_count;
@@ -517,9 +567,8 @@ static void deliver(FleetCtx *c, int64_t rid, double t)
         c->waste[h] += useful;
         return;
     }
-    int32_t u = c->ucur[h]++;
-    double d = c->draws[(int64_t)u * c->n + h];
-    if (d < c->err_rate) {
+    if (pcg_double(c->serve_state + 2 * h, c->serve_inc + 2 * h)
+        < c->err_rate) {
         c->err_n++;
         c->err_cpu += useful;
         c->waste[h] += useful;
@@ -648,18 +697,7 @@ int fleet_run(FleetCtx *c)
         int64_t payload = (int64_t)(pay & 0xffffffffu);
         if (kind == K_COMPLETE || kind == K_UPLOAD) {
             int64_t rid = payload;
-            int32_t wid = c->r_wid[rid];
             int64_t h = c->r_host[rid];
-            /* might this event deliver a result that consumes a serve
-             * uniform?  pause for a refill before mutating anything if
-             * the supply is dry (a storm may not deliver after all; an
-             * extra round of draws is harmless) */
-            if (!(c->r_flag[rid] & F_TIMED_OUT) && t <= c->r_dead[rid]
-                && !(c->wu_state[wid] & 1)
-                && c->ucur[h] >= c->rounds_avail) {
-                heap_push(c, t, seq, pay);
-                return ST_NEED_DRAWS;
-            }
             if (kind == K_UPLOAD) {
                 c->backlog--;
                 attempt_upload(c, rid, t);
@@ -702,5 +740,156 @@ int fleet_run(FleetCtx *c)
                 }
             }
         }
+    }
+}
+
+/* ---- the report's ordered folds --------------------------------------- */
+
+typedef struct {
+    /* sizes / params */
+    int64_t n, nwu, quorum, ncodes, faults;
+    double horizon;
+    /* validator state */
+    const uint8_t *wu_state, *nhold;
+    const int32_t *hold_flat;   /* stride quorum */
+    /* ok returns in delivery order */
+    const int32_t *ret_wid, *ret_host;
+    const double *ret_cpu;
+    int64_t ret_count;
+    int64_t *wid_start;         /* scratch, nwu + 1 zeros */
+    int64_t *order;             /* scratch, ret_count */
+    /* replicas; r_cpu/r_rb are read only when faults != 0 */
+    const int32_t *r_host;
+    const double *r_disp, *r_cpu, *r_rb;
+    const uint8_t *r_flag;
+    int64_t n_rep;
+    /* host columns */
+    const double *fs, *fe, *departure;
+    const int64_t *soff;
+    const uint16_t *hv_code;
+    /* per-host / per-code outputs: waste enters as the loop's waste,
+     * the other three as zeros */
+    double *waste, *quorum_by_host, *qc_sum, *w_sum;
+    /* scalar folds; redundant, lost and rolled_back enter as the loop's
+     * tallies */
+    double quorum_cpu, redundant, pending, lost, rolled_back, in_flight;
+} ReportCtx;
+
+/* repro.fleet.server._report_folds, fold for fold */
+void fleet_report(ReportCtx *r)
+{
+    /* ok returns wid-major, delivery order kept within a wid: a stable
+     * counting sort by wid */
+    for (int64_t i = 0; i < r->ret_count; i++)
+        r->wid_start[r->ret_wid[i] + 1]++;
+    for (int64_t w = 0; w < r->nwu; w++)
+        r->wid_start[w + 1] += r->wid_start[w];
+    for (int64_t i = 0; i < r->ret_count; i++)
+        r->order[r->wid_start[r->ret_wid[i]]++] = i;
+    int64_t prev_wid = -1;
+    int validated = 0;
+    const int32_t *qset = r->hold_flat;
+    int64_t qlen = 0;
+    for (int64_t k = 0; k < r->ret_count; k++) {
+        int64_t i = r->order[k];
+        int64_t wid = r->ret_wid[i];
+        int64_t h = r->ret_host[i];
+        double cpu = r->ret_cpu[i];
+        if (wid != prev_wid) {
+            prev_wid = wid;
+            uint8_t code = r->wu_state[wid];
+            validated = code & 1;
+            int64_t b = wid * r->quorum;
+            int64_t nh = r->nhold[wid];
+            if (code == 1) {
+                qset = r->hold_flat + b;
+                qlen = nh;
+            } else if (code == 5) {
+                /* degraded quorum-of-1: the last holder is load-bearing */
+                qset = r->hold_flat + b + nh - 1;
+                qlen = 1;
+            } else {
+                qlen = 0;       /* bad-locked: no ok return is */
+            }
+        }
+        if (validated) {
+            int in_q = 0;
+            for (int64_t q = 0; q < qlen; q++) {
+                if (qset[q] == (int32_t)h) {
+                    in_q = 1;
+                    break;
+                }
+            }
+            if (in_q) {
+                r->quorum_cpu += cpu;
+                r->quorum_by_host[h] += cpu;
+            } else {
+                r->redundant += cpu;
+                r->waste[h] += cpu;
+            }
+        } else {
+            r->pending += cpu;
+        }
+    }
+
+    /* replicas still incomplete at the horizon, in rid order */
+    double horizon = r->horizon;
+    for (int64_t rid = 0; rid < r->n_rep; rid++) {
+        uint8_t fl = r->r_flag[rid];
+        if (fl & F_COMPLETED)
+            continue;
+        int64_t h = r->r_host[rid];
+        double cpu = r->faults ? r->r_cpu[rid] : 0.0;
+        double rb = r->faults ? r->r_rb[rid] : 0.0;
+        if (fl & F_COMPUTED) {
+            /* upload still buffered: its useful seconds are lost */
+            double useful = cpu - rb;
+            r->lost += useful;
+            r->waste[h] += useful;
+            continue;
+        }
+        double start = r->r_disp[rid];
+        double spent = 0.0;
+        if (horizon > start) {
+            int64_t lo_i = r->soff[h], hi_i = r->soff[h + 1];
+            int64_t lo = lo_i, hi = hi_i;   /* bisect_right(fs, start) */
+            while (lo < hi) {
+                int64_t mid = (lo + hi) >> 1;
+                if (start < r->fs[mid])
+                    hi = mid;
+                else
+                    lo = mid + 1;
+            }
+            int64_t j = lo - 1;
+            if (j < lo_i)
+                j = lo_i;
+            for (; j < hi_i; j++) {
+                double s = r->fs[j];
+                if (s >= horizon)
+                    break;
+                double e = r->fe[j];
+                double a = s > start ? s : start;
+                double b = e < horizon ? e : horizon;
+                if (b > a)
+                    spent += b - a;
+            }
+        }
+        if (rb != 0.0) {
+            r->rolled_back += rb;
+            r->waste[h] += rb;
+            spent -= rb;
+        }
+        if (r->departure[h] <= horizon) {
+            r->lost += spent;
+            r->waste[h] += spent;
+        } else {
+            r->in_flight += spent;
+        }
+    }
+
+    /* per-hypervisor buckets, host order */
+    for (int64_t h = 0; h < r->n; h++) {
+        r->qc_sum[r->hv_code[h]] += r->quorum_by_host[h];
+        r->w_sum[r->hv_code[h]] += r->waste[h];
     }
 }

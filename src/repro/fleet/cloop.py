@@ -3,20 +3,31 @@
 The hot event loop of the columnar fleet path lives in ``_cloop.c``, a
 straight transliteration of ``FleetServer._fast_loop_python``.  This
 module compiles it with the system C compiler on first use (cached in
-the temp directory, keyed by a hash of the source), loads it through
-:mod:`ctypes`, and drives the pause/resume protocol: the kernel returns
-to Python whenever a growable buffer would overflow or the pre-drawn
-serve uniforms run dry, the driver grows/refills the numpy buffer and
-resumes.  Everything the kernel touches is a numpy array owned here, so
-the canonical flat state comes back with zero copying.  Under a fault
-storm the kernel also draws the ``vm.crash``/``net.partition``
-decisions itself (a SHA-256 port of :func:`repro.faults.plan._draw`,
-fed the ``"{seed}|{site}|"`` prefix bytes built here); :func:`fault_draw`
-exposes that port so tests can pin it to the Python original.
+the temp directory, keyed by a hash of the source, the compiler path
+and the flags), loads it through :mod:`ctypes`, and drives the
+pause/resume protocol: the kernel returns to Python whenever a growable
+buffer would overflow, the driver grows the numpy buffer and resumes.
+Everything the kernel touches is a numpy array owned here, so the
+canonical flat state comes back with zero copying.
 
-No compiler, a failed compile, or ``REPRO_NO_CLOOP=1`` all degrade to
-``run_event_loop`` returning ``None``; the server then runs the
-pure-Python fallback loop, which produces byte-identical state.
+The kernel draws the serve-stream error uniforms itself: the driver
+seeds the per-host PCG64 lanes once (:meth:`VecPcg.seeded`) and hands
+over each lane's 128-bit state and increment; the kernel steps a lane
+only when that host's result consumes a uniform.  :func:`serve_doubles`
+exposes that step so tests can pin it to :meth:`VecPcg.doubles`.
+Under a fault storm the kernel also draws the ``vm.crash``/
+``net.partition`` decisions (a SHA-256 port of
+:func:`repro.faults.plan._draw`, fed the ``"{seed}|{site}|"`` prefix
+bytes built here); :func:`fault_draw` exposes that port.
+
+:func:`report_folds` is the second entry point: the C transliteration
+of ``repro.fleet.server._report_folds``, the report's order-sensitive
+folds over the flat state.
+
+No compiler, a failed compile, a library missing an entry point, or
+``REPRO_NO_CLOOP=1`` all degrade to ``run_event_loop`` and
+``report_folds`` returning ``None``; the server then runs the
+pure-Python loop and folds, which produce byte-identical results.
 """
 
 from __future__ import annotations
@@ -27,25 +38,24 @@ import os
 import shutil
 import subprocess
 import tempfile
+from functools import partial
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.fleet.fastrng import VecPcg
 
-__all__ = ["available", "fault_draw", "run_event_loop"]
+__all__ = ["available", "fault_draw", "report_folds", "run_event_loop",
+           "serve_doubles"]
 
 _SRC = Path(__file__).with_name("_cloop.c")
 
 _ST_DONE = 0
-_ST_NEED_DRAWS = 1
-_ST_GROW_HEAP = 2
-_ST_GROW_NEED = 3
-_ST_GROW_REP = 4
-_ST_GROW_RET = 5
-
-_K_REQUEST = 0
+_ST_GROW_HEAP = 1
+_ST_GROW_NEED = 2
+_ST_GROW_REP = 3
+_ST_GROW_RET = 4
 
 _P = ctypes.c_void_p
 _I = ctypes.c_int64
@@ -63,7 +73,7 @@ class _FleetCtx(ctypes.Structure):
         ("fs", _P), ("fe", _P), ("soff", _P),
         ("departure", _P), ("an", _P), ("base", _P),
         ("stretch", _P), ("delays", _P),
-        ("draws", _P), ("rounds_avail", _I),
+        ("serve_state", _P), ("serve_inc", _P),
         ("wu_state", _P), ("wu_validated", _P),
         ("wu_issued", _P), ("wu_out", _P), ("wu_tmo", _P),
         ("wu_holders", _P), ("wu_nhold", _P), ("wu_hosts", _P),
@@ -75,7 +85,7 @@ class _FleetCtx(ctypes.Structure):
         ("need_cap", _I), ("stash", _P),
         ("h_t", _P), ("h_seq", _P), ("h_pay", _P),
         ("heap_len", _I), ("heap_cap", _I),
-        ("waste", _P), ("ucur", _P), ("poll_fail", _P), ("cur", _P),
+        ("waste", _P), ("poll_fail", _P), ("cur", _P),
         ("seq", _I), ("n_valid", _I), ("n_rep", _I), ("ret_count", _I),
         ("ok_n", _I), ("err_n", _I), ("stale_n", _I), ("tmo_n", _I),
         ("red_n", _I),
@@ -94,37 +104,68 @@ class _FleetCtx(ctypes.Structure):
         ("deg_since", _D), ("deg_s", _D),
     ]
 
-#: Recovery tallies the kernel accumulates (zero-initialised with the
-#: struct), returned in the state dict.
-_RECOVERY_INTS = ("uploads_retried", "uploads_lost", "vm_crashes", "part_n",
-                  "degraded_validated", "backlog", "degraded", "deg_n")
-_RECOVERY_FLOATS = ("rolled_back_cpu", "lost_upload_cpu", "deg_since",
-                    "deg_s")
+
+class _ReportCtx(ctypes.Structure):
+    """Mirror of the C ``ReportCtx`` (all fields 8 bytes, as above)."""
+
+    _fields_ = [
+        ("n", _I), ("nwu", _I), ("quorum", _I), ("ncodes", _I),
+        ("faults", _I), ("horizon", _D),
+        ("wu_state", _P), ("nhold", _P), ("hold_flat", _P),
+        ("ret_wid", _P), ("ret_host", _P), ("ret_cpu", _P),
+        ("ret_count", _I), ("wid_start", _P), ("order", _P),
+        ("r_host", _P), ("r_disp", _P), ("r_cpu", _P), ("r_rb", _P),
+        ("r_flag", _P), ("n_rep", _I),
+        ("fs", _P), ("fe", _P), ("departure", _P), ("soff", _P),
+        ("hv_code", _P),
+        ("waste", _P), ("quorum_by_host", _P), ("qc_sum", _P),
+        ("w_sum", _P),
+        ("quorum_cpu", _D), ("redundant", _D), ("pending", _D),
+        ("lost", _D), ("rolled_back", _D), ("in_flight", _D),
+    ]
+
+
+#: Scalar tallies the kernel accumulates in the context, returned in the
+#: state dict.
+_STATE_INTS = ("n_valid", "n_rep", "ok_n", "err_n", "stale_n", "tmo_n",
+               "red_n", "uploads_retried", "uploads_lost", "vm_crashes",
+               "part_n", "degraded_validated", "backlog", "degraded",
+               "deg_n")
+_STATE_FLOATS = ("err_cpu", "stale_cpu", "red_cpu", "rolled_back_cpu",
+                 "lost_upload_cpu", "deg_since", "deg_s")
 
 
 _lib: Optional[ctypes.CDLL] = None
 _tried = False
 
 
+#: -ffp-contract=off: no FMA contraction, so every double op rounds
+#: exactly as CPython's interpreter does (SSE2 doubles)
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+def _so_path(cc: str, flags: Tuple[str, ...]) -> str:
+    """The cached build's path, keyed by the source, the compiler and
+    the flags — a flag or compiler change must not reuse an old build."""
+    key = hashlib.sha256(_SRC.read_bytes())
+    key.update("\0".join((cc,) + flags).encode())
+    tag = getattr(os, "getuid", lambda: 0)()
+    return os.path.join(tempfile.gettempdir(),
+                        f"repro_cloop_{key.hexdigest()[:16]}_{tag}.so")
+
+
 def _compile() -> Optional[str]:
     cc = shutil.which("gcc") or shutil.which("cc")
     if cc is None:
         return None
-    source = _SRC.read_bytes()
-    digest = hashlib.sha256(source).hexdigest()[:16]
-    tag = getattr(os, "getuid", lambda: 0)()
-    so_path = os.path.join(
-        tempfile.gettempdir(), f"repro_cloop_{digest}_{tag}.so")
+    so_path = _so_path(cc, _CFLAGS)
     if os.path.exists(so_path):
         return so_path
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=tempfile.gettempdir())
     os.close(fd)
     try:
-        # -ffp-contract=off: no FMA contraction, so every double op
-        # rounds exactly as CPython's interpreter does (SSE2 doubles)
         result = subprocess.run(
-            [cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off",
-             "-o", tmp, str(_SRC)],
+            [cc, *_CFLAGS, "-o", tmp, str(_SRC)],
             capture_output=True, timeout=120)
         if result.returncode != 0:
             os.unlink(tmp)
@@ -155,10 +196,15 @@ def _load() -> Optional[ctypes.CDLL]:
         lib = ctypes.CDLL(so_path)
         lib.fleet_run.argtypes = [ctypes.POINTER(_FleetCtx)]
         lib.fleet_run.restype = ctypes.c_int
+        lib.fleet_report.argtypes = [ctypes.POINTER(_ReportCtx)]
+        lib.fleet_report.restype = None
         lib.fault_draw.argtypes = [ctypes.c_char_p, _I, _I, _I,
                                    ctypes.c_char_p, _I]
         lib.fault_draw.restype = ctypes.c_double
-    except OSError:
+        lib.serve_doubles.argtypes = [_P, _P, _I, _I, _P]
+        lib.serve_doubles.restype = None
+    except (OSError, AttributeError):
+        # unloadable, or a build that lacks one of the entry points
         return None
     _lib = lib
     return _lib
@@ -190,6 +236,81 @@ def fault_draw(seed: int, site: str, key: int, attempt: int,
     return lib.fault_draw(prefix, len(prefix), key, attempt, tail, len(tail))
 
 
+def _serve_lanes(serve_seed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-host PCG64 state and increment of the ``"error"`` serve
+    streams as ``(n, 2)`` ``{lo, hi}`` uint64 words — the layout
+    ``pcg_double`` in the kernel steps."""
+    serve = VecPcg.seeded(serve_seed, "error")
+    u64 = np.uint64
+    words = []
+    for limbs in (serve.s, serve.inc):
+        lanes = np.empty((len(limbs[0]), 2), dtype=u64)
+        lanes[:, 0] = limbs[0] | (limbs[1] << u64(32))
+        lanes[:, 1] = limbs[2] | (limbs[3] << u64(32))
+        words.append(lanes)
+    return words[0], words[1]
+
+
+def serve_doubles(serve_seed: np.ndarray,
+                  draws: int) -> Optional[np.ndarray]:
+    """The kernel's lazy serve draws: ``out[i, k]`` is lane ``i``'s
+    ``k``-th uniform of ``VecPcg.seeded(serve_seed, "error")``, each
+    lane stepped on its own; ``None`` if the kernel is absent."""
+    lib = _load()
+    if lib is None:
+        return None
+    state, inc = _serve_lanes(serve_seed)
+    n = len(state)
+    out = np.empty((n, draws), dtype=np.float64)
+    lib.serve_doubles(_addr(state), _addr(inc), n, draws, _addr(out))
+    return out
+
+
+class _Bound:
+    """The numpy buffers behind one ctypes context, by field name.
+
+    Binding stores the array (keeping it alive for the kernel) and
+    points the context field at its data.
+    """
+
+    def __init__(self, ctx: ctypes.Structure):
+        self.ctx = ctx
+        self.arrays: Dict[str, np.ndarray] = {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.arrays[name]
+
+    def __call__(self, name: str, arr: np.ndarray) -> np.ndarray:
+        self.arrays[name] = arr
+        setattr(self.ctx, name, _addr(arr))
+        return arr
+
+    def inputs(self, get: Callable[[str], Any],
+               fields: Tuple[Tuple[str, type], ...]) -> None:
+        """Bind each ``get(name)`` as a contiguous ``dtype`` array."""
+        for name, dtype in fields:
+            self(name, np.ascontiguousarray(get(name), dtype=dtype))
+
+
+_F8 = np.float64
+
+#: Read-only ``_FastPrep`` columns the event kernel reads.
+_LOOP_PREP = (("fs", _F8), ("fe", _F8), ("soff", np.int64),
+              ("departure", _F8), ("an", _F8), ("base", _F8),
+              ("stretch", _F8), ("delays", _F8), ("o_start", _F8),
+              ("o_end", _F8))
+
+#: Growable kernel buffers per pause status: the capacity field and the
+#: buffers it sizes.  The per-replica recovery columns (``r_cpu``,
+#: ``r_rb``, ``r_att``) are empty when fault-free and stay empty.
+_GROWABLE = {
+    _ST_GROW_REP: ("rep_cap", ("r_wid", "r_host", "r_dead", "r_disp",
+                               "r_flag", "r_cpu", "r_rb", "r_att")),
+    _ST_GROW_RET: ("ret_cap", ("ret_wid", "ret_host", "ret_cpu")),
+    _ST_GROW_HEAP: ("heap_cap", ("h_t", "h_seq", "h_pay")),
+}
+
+
 def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
     """Run the fleet event loop in C; ``None`` if the kernel is absent.
 
@@ -207,47 +328,50 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
     if quorum > 255 or n >= 2 ** 32 or nwu >= 2 ** 31:
         return None  # outside the kernel's packing assumptions
 
-    soff = np.ascontiguousarray(prep.soff, dtype=np.int64)
-    fs = np.ascontiguousarray(prep.fs, dtype=np.float64)
-    fe = np.ascontiguousarray(prep.fe, dtype=np.float64)
-    departure = np.ascontiguousarray(prep.departure, dtype=np.float64)
-    an = np.ascontiguousarray(prep.an, dtype=np.float64)
-    base = np.ascontiguousarray(prep.base, dtype=np.float64)
-    stretch = np.ascontiguousarray(prep.stretch, dtype=np.float64)
-    delays = np.ascontiguousarray(prep.delays, dtype=np.float64)
+    ctx = _FleetCtx()
+    bind = _Bound(ctx)
+    bind.inputs(partial(getattr, prep), _LOOP_PREP)
+    soff = bind["soff"]
+    fs = bind["fs"]
 
-    wu_state = np.zeros(nwu, dtype=np.uint8)
-    wu_validated = np.zeros(nwu, dtype=np.float64)
-    wu_issued = np.zeros(nwu, dtype=np.int32)
-    wu_out = np.zeros(nwu, dtype=np.int32)
-    wu_tmo = np.zeros(nwu, dtype=np.int32)
-    wu_holders = np.full(nwu * quorum, -1, dtype=np.int32)
-    wu_nhold = np.zeros(nwu, dtype=np.uint8)
-    wu_hosts = np.full(nwu * max_replicas, -1, dtype=np.int32)
+    wu_state = bind("wu_state", np.zeros(nwu, dtype=np.uint8))
+    bind("wu_validated", np.zeros(nwu, dtype=_F8))
+    bind("wu_issued", np.zeros(nwu, dtype=np.int32))
+    bind("wu_out", np.zeros(nwu, dtype=np.int32))
+    bind("wu_tmo", np.zeros(nwu, dtype=np.int32))
+    bind("wu_holders", np.full(nwu * quorum, -1, dtype=np.int32))
+    bind("wu_nhold", np.zeros(nwu, dtype=np.uint8))
+    bind("wu_hosts", np.full(nwu * max_replicas, -1, dtype=np.int32))
 
-    rep_cap = max(4096, 2 * n)
-    r_wid = np.empty(rep_cap, dtype=np.int32)
-    r_host = np.empty(rep_cap, dtype=np.int32)
-    r_dead = np.empty(rep_cap, dtype=np.float64)
-    r_disp = np.empty(rep_cap, dtype=np.float64)
-    r_flag = np.empty(rep_cap, dtype=np.uint8)
+    # per-replica recovery columns exist only under a storm
+    faults = bool(prep.faults)
+    ctx.rep_cap = rep_cap = max(4096, 2 * n)
+    rec_cap = rep_cap if faults else 0
+    for name, dtype, cap in (
+            ("r_wid", np.int32, rep_cap), ("r_host", np.int32, rep_cap),
+            ("r_dead", _F8, rep_cap), ("r_disp", _F8, rep_cap),
+            ("r_flag", np.uint8, rep_cap), ("r_cpu", _F8, rec_cap),
+            ("r_rb", _F8, rec_cap), ("r_att", np.int32, rec_cap)):
+        bind(name, np.empty(cap, dtype=dtype))
 
-    ret_cap = max(4096, 2 * n)
-    ret_wid = np.empty(ret_cap, dtype=np.int32)
-    ret_host = np.empty(ret_cap, dtype=np.int32)
-    ret_cpu = np.empty(ret_cap, dtype=np.float64)
+    ctx.ret_cap = ret_cap = max(4096, 2 * n)
+    bind("ret_wid", np.empty(ret_cap, dtype=np.int32))
+    bind("ret_host", np.empty(ret_cap, dtype=np.int32))
+    bind("ret_cpu", np.empty(ret_cap, dtype=_F8))
 
     need_cap = nwu * quorum + n + 1024
-    need = np.empty(need_cap, dtype=np.int32)
-    initial_need = np.repeat(
-        np.arange(nwu, dtype=np.int32), quorum)
+    need = bind("need", np.empty(need_cap, dtype=np.int32))
+    initial_need = np.repeat(np.arange(nwu, dtype=np.int32), quorum)
     need[:len(initial_need)] = initial_need
-    stash = np.empty(need_cap, dtype=np.int32)
+    bind("stash", np.empty(need_cap, dtype=np.int32))
+    ctx.need_head = 0
+    ctx.need_count = len(initial_need)
+    ctx.need_cap = need_cap
 
-    heap_cap = max(1024, 2 * n)
-    h_t = np.empty(heap_cap, dtype=np.float64)
-    h_seq = np.empty(heap_cap, dtype=np.int64)
-    h_pay = np.empty(heap_cap, dtype=np.uint64)
+    ctx.heap_cap = heap_cap = max(1024, 2 * n)
+    h_t = bind("h_t", np.empty(heap_cap, dtype=_F8))
+    h_seq = bind("h_seq", np.empty(heap_cap, dtype=np.int64))
+    h_pay = bind("h_pay", np.empty(heap_cap, dtype=np.uint64))
     # initial REQUEST events: one per host with sessions, seq assigned
     # in host order; a (t, seq)-sorted array is a valid binary min-heap
     has_sessions = np.flatnonzero(soff[1:] > soff[:-1])
@@ -258,196 +382,134 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
     h_t[:k] = first_start[order]
     h_seq[:k] = seqs[order]
     h_pay[:k] = has_sessions[order].astype(np.uint64)  # K_REQUEST == 0
+    ctx.heap_len = ctx.seq = k
 
-    # per-replica recovery columns exist only under a storm
-    faults = bool(prep.faults)
-    rec_cap = rep_cap if faults else 0
-    r_cpu = np.empty(rec_cap, dtype=np.float64)
-    r_rb = np.empty(rec_cap, dtype=np.float64)
-    r_att = np.empty(rec_cap, dtype=np.int32)
-    o_start = np.ascontiguousarray(prep.o_start, dtype=np.float64)
-    o_end = np.ascontiguousarray(prep.o_end, dtype=np.float64)
-    crash_prefix = np.frombuffer(_prefix(prep.fault_seed, "vm.crash"),
-                                 dtype=np.uint8)
-    part_prefix = np.frombuffer(_prefix(prep.fault_seed, "net.partition"),
-                                dtype=np.uint8)
+    waste = bind("waste", np.zeros(n, dtype=_F8))
+    bind("poll_fail", np.zeros(n, dtype=np.int32))
+    bind("cur", soff[:n].copy())
+    serve_state, serve_inc = _serve_lanes(prep.serve_seed)
+    bind("serve_state", serve_state)
+    bind("serve_inc", serve_inc)
+    ctx.crash_plen = len(bind("crash_prefix", np.frombuffer(
+        _prefix(prep.fault_seed, "vm.crash"), dtype=np.uint8)))
+    ctx.part_plen = len(bind("part_prefix", np.frombuffer(
+        _prefix(prep.fault_seed, "net.partition"), dtype=np.uint8)))
 
-    waste = np.zeros(n, dtype=np.float64)
-    ucur = np.zeros(n, dtype=np.int32)
-    poll_fail = np.zeros(n, dtype=np.int32)
-    cur = soff[:n].copy()
-
-    serve_vec = VecPcg.seeded(prep.serve_seed, "error")
-    draw_rounds = 0
-    draws = np.empty((8, n), dtype=np.float64)
-
-    ctx = _FleetCtx()
     ctx.n = n
     ctx.nwu = nwu
     ctx.quorum = quorum
     ctx.max_replicas = max_replicas
     ctx.horizon = prep.horizon
     ctx.err_rate = prep.err_rate
-    ctx.n_delays = len(delays)
-    for name, arr in (
-            ("fs", fs), ("fe", fe), ("soff", soff),
-            ("departure", departure), ("an", an), ("base", base),
-            ("stretch", stretch), ("delays", delays),
-            ("wu_state", wu_state), ("wu_validated", wu_validated),
-            ("wu_issued", wu_issued), ("wu_out", wu_out),
-            ("wu_tmo", wu_tmo), ("wu_holders", wu_holders),
-            ("wu_nhold", wu_nhold), ("wu_hosts", wu_hosts),
-            ("waste", waste), ("ucur", ucur),
-            ("poll_fail", poll_fail), ("cur", cur)):
-        setattr(ctx, name, _addr(arr))
-    ctx.draws = _addr(draws)
-    ctx.rounds_avail = draw_rounds
-    ctx.r_wid = _addr(r_wid)
-    ctx.r_host = _addr(r_host)
-    ctx.r_dead = _addr(r_dead)
-    ctx.r_disp = _addr(r_disp)
-    ctx.r_flag = _addr(r_flag)
-    ctx.rep_cap = rep_cap
-    ctx.ret_wid = _addr(ret_wid)
-    ctx.ret_host = _addr(ret_host)
-    ctx.ret_cpu = _addr(ret_cpu)
-    ctx.ret_cap = ret_cap
-    ctx.need = _addr(need)
-    ctx.need_head = 0
-    ctx.need_count = len(initial_need)
-    ctx.need_cap = need_cap
-    ctx.stash = _addr(stash)
-    ctx.h_t = _addr(h_t)
-    ctx.h_seq = _addr(h_seq)
-    ctx.h_pay = _addr(h_pay)
-    ctx.heap_len = k
-    ctx.heap_cap = heap_cap
-    ctx.seq = k
-    ctx.n_valid = 0
-    ctx.n_rep = 0
-    ctx.ret_count = 0
-    ctx.ok_n = ctx.err_n = ctx.stale_n = ctx.tmo_n = ctx.red_n = 0
-    ctx.err_cpu = ctx.stale_cpu = ctx.red_cpu = 0.0
+    ctx.n_delays = len(bind["delays"])
     ctx.faults = int(faults)
-    ctx.o_start = _addr(o_start)
-    ctx.o_end = _addr(o_end)
-    ctx.n_out = len(o_start)
+    ctx.n_out = len(bind["o_start"])
     ctx.p_crash = prep.p_crash
     ctx.p_part = prep.p_part
     ctx.interval = prep.interval
     ctx.backoff = prep.backoff
     ctx.upload_retries = prep.upload_retries
     ctx.degraded_threshold = prep.degraded_threshold
-    ctx.crash_prefix = _addr(crash_prefix)
-    ctx.crash_plen = len(crash_prefix)
-    ctx.part_prefix = _addr(part_prefix)
-    ctx.part_plen = len(part_prefix)
-    ctx.r_cpu = _addr(r_cpu)
-    ctx.r_rb = _addr(r_rb)
-    ctx.r_att = _addr(r_att)
 
     while True:
         status = lib.fleet_run(ctypes.byref(ctx))
         if status == _ST_DONE:
             break
-        if status == _ST_NEED_DRAWS:
-            if draw_rounds == draws.shape[0]:
-                grown = np.empty((2 * draw_rounds, n), dtype=np.float64)
-                grown[:draw_rounds] = draws
-                draws = grown
-                ctx.draws = _addr(draws)
-            draws[draw_rounds] = serve_vec.doubles()
-            draw_rounds += 1
-            ctx.rounds_avail = draw_rounds
-        elif status == _ST_GROW_REP:
-            rep_cap *= 2
-            r_wid, r_host, r_dead, r_disp, r_flag = (
-                _grow(r_wid, rep_cap), _grow(r_host, rep_cap),
-                _grow(r_dead, rep_cap), _grow(r_disp, rep_cap),
-                _grow(r_flag, rep_cap))
-            ctx.r_wid = _addr(r_wid)
-            ctx.r_host = _addr(r_host)
-            ctx.r_dead = _addr(r_dead)
-            ctx.r_disp = _addr(r_disp)
-            ctx.r_flag = _addr(r_flag)
-            ctx.rep_cap = rep_cap
-            if faults:
-                r_cpu, r_rb, r_att = (_grow(r_cpu, rep_cap),
-                                      _grow(r_rb, rep_cap),
-                                      _grow(r_att, rep_cap))
-                ctx.r_cpu = _addr(r_cpu)
-                ctx.r_rb = _addr(r_rb)
-                ctx.r_att = _addr(r_att)
-        elif status == _ST_GROW_RET:
-            ret_cap *= 2
-            ret_wid, ret_host, ret_cpu = (
-                _grow(ret_wid, ret_cap), _grow(ret_host, ret_cap),
-                _grow(ret_cpu, ret_cap))
-            ctx.ret_wid = _addr(ret_wid)
-            ctx.ret_host = _addr(ret_host)
-            ctx.ret_cpu = _addr(ret_cpu)
-            ctx.ret_cap = ret_cap
-        elif status == _ST_GROW_HEAP:
-            heap_cap *= 2
-            h_t, h_seq, h_pay = (
-                _grow(h_t, heap_cap), _grow(h_seq, heap_cap),
-                _grow(h_pay, heap_cap))
-            ctx.h_t = _addr(h_t)
-            ctx.h_seq = _addr(h_seq)
-            ctx.h_pay = _addr(h_pay)
-            ctx.heap_cap = heap_cap
+        if status in _GROWABLE:
+            cap_field, names = _GROWABLE[status]
+            cap = 2 * getattr(ctx, cap_field)
+            setattr(ctx, cap_field, cap)
+            for name in names:
+                if len(bind[name]):
+                    bind(name, _grow(bind[name], cap))
         elif status == _ST_GROW_NEED:
             # linearize the ring into a doubled buffer
             count = ctx.need_count
-            idx = (ctx.need_head + np.arange(count)) % need_cap
-            need_cap *= 2
-            grown = np.empty(need_cap, dtype=np.int32)
-            grown[:count] = need[idx]
-            need = grown
-            stash = np.empty(need_cap, dtype=np.int32)
-            ctx.need = _addr(need)
-            ctx.stash = _addr(stash)
+            idx = (ctx.need_head + np.arange(count)) % ctx.need_cap
+            grown = np.empty(2 * ctx.need_cap, dtype=np.int32)
+            grown[:count] = bind["need"][idx]
+            bind("need", grown)
+            bind("stash", np.empty(len(grown), dtype=np.int32))
             ctx.need_head = 0
-            ctx.need_cap = need_cap
+            ctx.need_cap = len(grown)
         else:  # pragma: no cover - unknown status means a kernel bug
             raise RuntimeError(f"fleet kernel returned status {status}")
 
     n_rep = int(ctx.n_rep)
     ret_count = int(ctx.ret_count)
     rec_rep = n_rep if faults else 0
-    state = {
-        "n_valid": int(ctx.n_valid),
-        "n_rep": n_rep,
-        "ok_n": int(ctx.ok_n),
-        "err_n": int(ctx.err_n),
-        "stale_n": int(ctx.stale_n),
-        "tmo_n": int(ctx.tmo_n),
-        "red_n": int(ctx.red_n),
-        "err_cpu": float(ctx.err_cpu),
-        "stale_cpu": float(ctx.stale_cpu),
-        "red_cpu": float(ctx.red_cpu),
-        "wu_state": wu_state,
-        "wu_validated": wu_validated,
-        "wu_issued": wu_issued,
-        "wu_out": wu_out,
-        "hold_flat": wu_holders,
-        "nhold": wu_nhold,
-        "ret_wid": ret_wid[:ret_count],
-        "ret_host": ret_host[:ret_count],
-        "ret_cpu": ret_cpu[:ret_count],
-        "r_host": r_host[:n_rep],
-        "r_disp": r_disp[:n_rep],
-        "r_flag": r_flag[:n_rep],
-        "r_cpu": r_cpu[:rec_rep],
-        "r_rb": r_rb[:rec_rep],
-        "r_att": r_att[:rec_rep],
-        "waste": waste,
-    }
-    for name in _RECOVERY_INTS:
-        state[name] = int(getattr(ctx, name))
-    for name in _RECOVERY_FLOATS:
-        state[name] = float(getattr(ctx, name))
+    state = {name: int(getattr(ctx, name)) for name in _STATE_INTS}
+    state.update((name, float(getattr(ctx, name)))
+                 for name in _STATE_FLOATS)
+    state.update(
+        wu_state=wu_state,
+        wu_validated=bind["wu_validated"],
+        wu_issued=bind["wu_issued"],
+        wu_out=bind["wu_out"],
+        hold_flat=bind["wu_holders"],
+        nhold=bind["wu_nhold"],
+        ret_wid=bind["ret_wid"][:ret_count],
+        ret_host=bind["ret_host"][:ret_count],
+        ret_cpu=bind["ret_cpu"][:ret_count],
+        r_host=bind["r_host"][:n_rep],
+        r_disp=bind["r_disp"][:n_rep],
+        r_flag=bind["r_flag"][:n_rep],
+        r_cpu=bind["r_cpu"][:rec_rep],
+        r_rb=bind["r_rb"][:rec_rep],
+        r_att=bind["r_att"][:rec_rep],
+        waste=waste,
+    )
     return state
+
+
+#: The flat state the report folds read, and the prep columns.
+_FOLD_STATE = (("wu_state", np.uint8), ("nhold", np.uint8),
+               ("hold_flat", np.int32), ("ret_wid", np.int32),
+               ("ret_host", np.int32), ("ret_cpu", _F8),
+               ("r_host", np.int32), ("r_disp", _F8), ("r_flag", np.uint8),
+               ("r_cpu", _F8), ("r_rb", _F8))
+_FOLD_PREP = (("fs", _F8), ("fe", _F8), ("departure", _F8),
+              ("soff", np.int64), ("hv_code", np.uint16))
+
+
+def report_folds(prep: Any, state: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+    """The report's ordered folds in C; ``None`` if the kernel is absent.
+
+    ``prep``/``state`` are the server's ``_FastPrep`` and the loop's
+    canonical flat state (left untouched).  Returns exactly what
+    ``repro.fleet.server._report_folds`` returns, bit for bit.
+    """
+    lib = _load()
+    if lib is None:
+        return None
+    ctx = _ReportCtx()
+    bind = _Bound(ctx)
+    bind.inputs(state.__getitem__, _FOLD_STATE)
+    bind.inputs(partial(getattr, prep), _FOLD_PREP)
+    bind("wid_start", np.zeros(prep.nwu + 1, dtype=np.int64))
+    bind("order", np.empty(len(bind["ret_wid"]), dtype=np.int64))
+    out = {"waste": np.array(state["waste"], dtype=_F8),
+           "quorum_by_host": np.zeros(prep.n, dtype=_F8),
+           "qc_sum": np.zeros(prep.ncodes, dtype=_F8),
+           "w_sum": np.zeros(prep.ncodes, dtype=_F8)}
+    for name, arr in out.items():
+        bind(name, arr)
+    ctx.n = prep.n
+    ctx.nwu = prep.nwu
+    ctx.quorum = prep.quorum
+    ctx.ncodes = prep.ncodes
+    ctx.faults = int(bool(prep.faults))
+    ctx.horizon = prep.horizon
+    ctx.ret_count = len(bind["ret_wid"])
+    ctx.n_rep = len(bind["r_flag"])
+    ctx.redundant = state["red_cpu"]
+    ctx.lost = state["lost_upload_cpu"]
+    ctx.rolled_back = state["rolled_back_cpu"]
+    lib.fleet_report(ctypes.byref(ctx))
+    out.update(quorum=ctx.quorum_cpu, redundant=ctx.redundant,
+               pending=ctx.pending, lost=ctx.lost,
+               rolled_back=ctx.rolled_back, in_flight=ctx.in_flight)
+    return out
 
 
 def _grow(arr: np.ndarray, new_cap: int) -> np.ndarray:

@@ -81,6 +81,7 @@ from repro.fleet.columns import (
     build_fleet_columns,
 )
 from repro.fleet.config import FleetConfig
+from repro.fleet.cloop import report_folds as _c_report_folds
 from repro.fleet.cloop import run_event_loop as _c_event_loop
 from repro.fleet.fastrng import VecPcg
 from repro.fleet.host import FleetHost
@@ -311,9 +312,153 @@ class _FastPrep:
     __slots__ = ("n", "nwu", "horizon", "quorum", "max_replicas",
                  "err_rate", "fs", "fe", "soff", "departure", "an",
                  "base", "stretch", "delays", "serve_seed", "hv_code",
-                 "faults", "fault_seed", "p_crash", "p_part",
+                 "ncodes", "faults", "fault_seed", "p_crash", "p_part",
                  "o_start", "o_end", "interval", "upload_retries",
                  "backoff", "degraded_threshold")
+
+
+def _report_folds(prep: _FastPrep, state: Dict[str, Any]) -> Dict[str, Any]:
+    """The report's order-sensitive folds over the canonical flat state.
+
+    Every float accumulation whose order the classic report fixes lives
+    here, as a Python left fold in the classic walk order:
+
+    * the ok returns, wid-major with delivery order kept within a wid
+      (the classic ``for wu: for wu.ok_returns`` walk), split by the
+      work unit's validator state into quorum / redundant / pending;
+    * the replicas still incomplete at the horizon, in rid order, into
+      lost / rolled-back / in-flight seconds (a bisect into the host's
+      CSR trace finds the session the replica started in);
+    * the per-hypervisor quorum and waste sums, per code in host order
+      (the ``+= 0.0`` terms for untouched hosts are float identities).
+
+    ``state`` is left untouched.  ``cloop.report_folds`` (``fleet_report``
+    in ``_cloop.c``) is its C transliteration and must return the same
+    dict bit for bit: scalars ``quorum``, ``redundant``, ``pending``,
+    ``lost``, ``rolled_back``, ``in_flight``, and float64 arrays
+    ``waste``/``quorum_by_host`` (per host) and ``qc_sum``/``w_sum``
+    (per hypervisor code).
+    """
+    n = prep.n
+    quorum = prep.quorum
+    horizon = prep.horizon
+    st = state["wu_state"].tobytes()
+    nhold = state["nhold"].tolist()
+    hold_flat = state["hold_flat"].tolist()
+    waste = state["waste"].tolist()
+
+    ret_wid = state["ret_wid"]
+    order = np.argsort(ret_wid, kind="stable")
+    rw = ret_wid[order].tolist()
+    rh = state["ret_host"][order].tolist()
+    rc = state["ret_cpu"][order].tolist()
+    quorum_cpu = 0.0
+    redundant_cpu = state["red_cpu"]
+    pending_cpu = 0.0
+    quorum_cpu_by_host = [0.0] * n
+    prev_wid = -1
+    validated = False
+    qset: set = set()
+    for wid, h, cpu in zip(rw, rh, rc):
+        if wid != prev_wid:
+            prev_wid = wid
+            code = st[wid]
+            validated = code & 1
+            b = wid * quorum
+            if code == 1:
+                qset = set(hold_flat[b:b + nhold[wid]])
+            elif code == 5:
+                # degraded quorum-of-1: the lone accepted result (the
+                # last holder) is the load-bearing one
+                qset = {hold_flat[b + nhold[wid] - 1]}
+            else:
+                # bad-locked: the validator's quorum is the bad key, so
+                # no ok return is load-bearing
+                qset = set()
+        if validated:
+            if h in qset:
+                quorum_cpu += cpu
+                quorum_cpu_by_host[h] += cpu
+            else:
+                redundant_cpu += cpu
+                waste[h] += cpu
+        else:
+            pending_cpu += cpu
+
+    lost_cpu = state["lost_upload_cpu"]
+    rolled_back = state["rolled_back_cpu"]
+    in_flight_cpu = 0.0
+    r_flag = state["r_flag"]
+    incomplete = np.flatnonzero((r_flag & 2) == 0)
+    if incomplete.size:
+        fs = prep.fs.tolist()
+        fe = prep.fe.tolist()
+        off = prep.soff.tolist()
+        departure = prep.departure.tolist()
+        hosts_sub = state["r_host"][incomplete].tolist()
+        disp_sub = state["r_disp"][incomplete].tolist()
+        flag_sub = r_flag[incomplete].tolist()
+        if prep.faults:
+            cpu_sub = state["r_cpu"][incomplete].tolist()
+            rb_sub = state["r_rb"][incomplete].tolist()
+        else:
+            cpu_sub = rb_sub = [0.0] * incomplete.size
+        for h, start, fl, cpu, rb in zip(hosts_sub, disp_sub, flag_sub,
+                                         cpu_sub, rb_sub):
+            if fl & 4:
+                # computed, upload still buffered at the horizon: the
+                # result never lands, so its useful seconds are lost
+                useful = cpu - rb
+                lost_cpu += useful
+                waste[h] += useful
+                continue
+            spent = 0.0
+            if horizon > start:
+                lo_i = off[h]
+                hi_i = off[h + 1]
+                j = bisect.bisect_right(fs, start, lo_i, hi_i) - 1
+                if j < lo_i:
+                    j = lo_i
+                while j < hi_i:
+                    s = fs[j]
+                    if s >= horizon:
+                        break
+                    e = fe[j]
+                    lo = s if s > start else start
+                    hi2 = e if e < horizon else horizon
+                    if hi2 > lo:
+                        spent += hi2 - lo
+                    j += 1
+            if rb:
+                # the crash landed in-trace (traces end at the horizon),
+                # so its redone seconds are rollback waste
+                rolled_back += rb
+                waste[h] += rb
+                spent -= rb
+            if departure[h] <= horizon:
+                lost_cpu += spent
+                waste[h] += spent
+            else:
+                in_flight_cpu += spent
+
+    qc_sum = [0.0] * prep.ncodes
+    w_sum = [0.0] * prep.ncodes
+    for code, qv, wv in zip(prep.hv_code.tolist(), quorum_cpu_by_host,
+                            waste):
+        qc_sum[code] += qv
+        w_sum[code] += wv
+    return {
+        "quorum": quorum_cpu,
+        "redundant": redundant_cpu,
+        "pending": pending_cpu,
+        "lost": lost_cpu,
+        "rolled_back": rolled_back,
+        "in_flight": in_flight_cpu,
+        "waste": np.array(waste, dtype=np.float64),
+        "quorum_by_host": np.array(quorum_cpu_by_host, dtype=np.float64),
+        "qc_sum": np.array(qc_sum, dtype=np.float64),
+        "w_sum": np.array(w_sum, dtype=np.float64),
+    }
 
 
 class FleetServer:
@@ -785,6 +930,7 @@ class FleetServer:
             an = np.where(ck > 0.0, an * (1.0 + ck / interval), an)
         prep.an = an
         prep.hv_code = cols.hv_code
+        prep.ncodes = len(cols.hv_names)
         # deadline base per profile: deadline = now + base * stretch^t,
         # identical float order to _deadline_for
         base_by_code = [
@@ -1277,18 +1423,20 @@ class FleetServer:
         """Mirror of :meth:`_report` over the canonical flat state —
         field for field, float operation for float operation.
 
-        Every accumulation whose order the classic report fixes (the
-        wid-major walk over ok returns, the rid-order walk over
-        incomplete replicas, the host-order per-hypervisor buckets)
-        stays a Python left fold here; numpy only gathers, sorts, and
-        counts — operations with no float-order freedom.
+        The order-sensitive float folds (the wid-major walk over ok
+        returns, the rid-order walk over incomplete replicas, the
+        host-order per-hypervisor buckets) come from one fold pass:
+        ``fleet_report`` in the compiled kernel when it is loaded, its
+        Python spec :func:`_report_folds` otherwise — bit-identical.
+        What stays here is order-free: numpy gathers, sorts and integer
+        counts, plus the scalar arithmetic and builtin ``sum()`` calls
+        the classic report makes over the fold results.
         """
         cfg = self.config
         cols = self.columns
         horizon = prep.horizon
         n = prep.n
         nwu = prep.nwu
-        quorum = prep.quorum
         n_valid = state["n_valid"]
         n_rep = state["n_rep"]
         ok_n = state["ok_n"]
@@ -1300,109 +1448,17 @@ class FleetServer:
         stale_cpu = state["stale_cpu"]
         red_cpu = state["red_cpu"]
         wu_state = state["wu_state"]
-        st = wu_state.tobytes()
-        nhold = state["nhold"].tolist()
-        hold_flat = state["hold_flat"].tolist()
-        waste = state["waste"].tolist()
 
-        # ok returns, wid-major with delivery order preserved within a
-        # wid — exactly the classic ``for wu: for wu.ok_returns`` walk.
-        # Per-host ok counts are order-free integers, so numpy may count
-        # them; the cpu folds stay sequential.
-        ret_wid = state["ret_wid"]
-        order = np.argsort(ret_wid, kind="stable")
-        rw = ret_wid[order].tolist()
-        rh = state["ret_host"][order].tolist()
-        rc = state["ret_cpu"][order].tolist()
-        ok_by_host = np.bincount(state["ret_host"], minlength=n).tolist()
-        quorum_cpu = 0.0
-        redundant_cpu = red_cpu
-        pending_cpu = 0.0
-        quorum_cpu_by_host = [0.0] * n
-        prev_wid = -1
-        validated = False
-        qset: set = set()
-        for wid, h, cpu in zip(rw, rh, rc):
-            if wid != prev_wid:
-                prev_wid = wid
-                code = st[wid]
-                validated = code & 1
-                b = wid * quorum
-                if code == 1:
-                    qset = set(hold_flat[b:b + nhold[wid]])
-                elif code == 5:
-                    # degraded quorum-of-1: the lone accepted result
-                    # (the last holder) is the load-bearing one
-                    qset = {hold_flat[b + nhold[wid] - 1]}
-                else:
-                    # bad-locked: the validator's quorum is the bad key,
-                    # so no ok return is load-bearing
-                    qset = set()
-            if validated:
-                if h in qset:
-                    quorum_cpu += cpu
-                    quorum_cpu_by_host[h] += cpu
-                else:
-                    redundant_cpu += cpu
-                    waste[h] += cpu
-            else:
-                pending_cpu += cpu
-
-        lost_cpu = state["lost_upload_cpu"]
-        rolled_back = state["rolled_back_cpu"]
-        in_flight_cpu = 0.0
-        r_flag = state["r_flag"]
-        incomplete = np.flatnonzero((r_flag & 2) == 0)
-        if incomplete.size:
-            fs = prep.fs.tolist()
-            fe = prep.fe.tolist()
-            off = prep.soff.tolist()
-            departure = prep.departure.tolist()
-            hosts_sub = state["r_host"][incomplete].tolist()
-            disp_sub = state["r_disp"][incomplete].tolist()
-            flag_sub = r_flag[incomplete].tolist()
-            if prep.faults:
-                cpu_sub = state["r_cpu"][incomplete].tolist()
-                rb_sub = state["r_rb"][incomplete].tolist()
-            else:
-                cpu_sub = rb_sub = [0.0] * incomplete.size
-            for h, start, fl, cpu, rb in zip(hosts_sub, disp_sub, flag_sub,
-                                             cpu_sub, rb_sub):
-                if fl & 4:
-                    # computed, upload still buffered at the horizon: the
-                    # result never lands, so its useful seconds are lost
-                    useful = cpu - rb
-                    lost_cpu += useful
-                    waste[h] += useful
-                    continue
-                spent = 0.0
-                if horizon > start:
-                    lo_i = off[h]
-                    hi_i = off[h + 1]
-                    j = bisect.bisect_right(fs, start, lo_i, hi_i) - 1
-                    if j < lo_i:
-                        j = lo_i
-                    while j < hi_i:
-                        s = fs[j]
-                        if s >= horizon:
-                            break
-                        e = fe[j]
-                        lo = s if s > start else start
-                        hi2 = e if e < horizon else horizon
-                        if hi2 > lo:
-                            spent += hi2 - lo
-                        j += 1
-                if rb:
-                    # the crash landed in-trace (traces end at the
-                    # horizon), so its redone seconds are rollback waste
-                    rolled_back += rb
-                    waste[h] += rb
-                    spent -= rb
-                if departure[h] <= horizon:
-                    lost_cpu += spent
-                    waste[h] += spent
-                else:
-                    in_flight_cpu += spent
+        folds = _c_report_folds(prep, state)
+        if folds is None:
+            folds = _report_folds(prep, state)
+        quorum_cpu = folds["quorum"]
+        redundant_cpu = folds["redundant"]
+        pending_cpu = folds["pending"]
+        lost_cpu = folds["lost"]
+        rolled_back = folds["rolled_back"]
+        in_flight_cpu = folds["in_flight"]
+        waste = folds["waste"]
 
         wasted = (err_cpu + stale_cpu + redundant_cpu + lost_cpu
                   + rolled_back)
@@ -1431,19 +1487,14 @@ class FleetServer:
 
         # per-hypervisor buckets.  hosts/results_ok are exact integer
         # accumulations (any order gives the same float), so numpy
-        # counts them; the two cpu columns fold per code in host order,
-        # exactly the classic per-host walk (its += 0.0 terms for
-        # untouched hosts are float identities).
-        ncodes = len(cols.hv_names)
-        hv_code = prep.hv_code.tolist()
-        qc_sum = [0.0] * ncodes
-        w_sum = [0.0] * ncodes
-        for code, qv, wv in zip(hv_code, quorum_cpu_by_host, waste):
-            qc_sum[code] += qv
-            w_sum[code] += wv
+        # counts them; the two cpu columns come from the folds.
+        ncodes = prep.ncodes
+        qc_sum = folds["qc_sum"].tolist()
+        w_sum = folds["w_sum"].tolist()
         host_count = np.bincount(prep.hv_code, minlength=ncodes)
-        ok_count = np.bincount(prep.hv_code, weights=np.asarray(
-            ok_by_host, dtype=np.float64), minlength=ncodes)
+        ok_by_host = np.bincount(state["ret_host"], minlength=n)
+        ok_count = np.bincount(prep.hv_code, weights=ok_by_host.astype(
+            np.float64), minlength=ncodes)
         codes, first_at = np.unique(prep.hv_code, return_index=True)
         per_hv: Dict[str, Dict[str, float]] = {}
         # insertion order = first-appearance order, as the classic walk
@@ -1483,8 +1534,9 @@ class FleetServer:
         self.rolled_back_cpu_s = rolled_back
         self.lost_upload_cpu_s = state["lost_upload_cpu"]
         self.degraded_validated = state["degraded_validated"]
-        self._wasted_by_host = {
-            h: v for h, v in enumerate(waste) if v != 0.0}
+        wasted_hosts = np.flatnonzero(waste)
+        self._wasted_by_host = dict(zip(wasted_hosts.tolist(),
+                                        waste[wasted_hosts].tolist()))
 
         return FleetReport(
             config=cfg.to_dict(),

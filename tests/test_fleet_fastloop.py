@@ -10,16 +10,21 @@ Pins the contracts the columnar rewrite rides on:
   (:mod:`tests._reference_fleet`);
 * the compiled C event kernel and the pure-Python fallback produce the
   same canonical flat state — fault-free and under a storm, with the
-  kernel's SHA-256 fault draws pinned bit for bit to the Python ones —
-  and the whole fast path reproduces the oracle's
+  kernel's SHA-256 fault draws and its lazy per-host serve draws pinned
+  bit for bit to the Python ones — the C report folds equal their
+  Python spec, and the whole fast path reproduces the oracle's
   :meth:`FleetReport.to_dict` byte for byte;
+* a kernel library that lacks an entry point degrades to the Python
+  fallback instead of crashing the run;
 * a metrics-off storm never falls back to the classic object loop, and
   its bulk fault tallies equal the classic loop's one-by-one ones.
 """
 
 import json
+import types
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import tests._reference_fleet as ref
@@ -34,10 +39,21 @@ from repro.fleet import (
     build_fleet_hosts,
     simulate_fleet,
 )
+from repro.fleet import cloop
 from repro.fleet import server as server_module
 from repro.fleet.cloop import available as cloop_available
-from repro.fleet.cloop import fault_draw, run_event_loop
-from repro.fleet.server import _apply_host_dropout, _percentile
+from repro.fleet.cloop import (
+    fault_draw,
+    report_folds,
+    run_event_loop,
+    serve_doubles,
+)
+from repro.fleet.fastrng import VecPcg
+from repro.fleet.server import (
+    _apply_host_dropout,
+    _percentile,
+    _report_folds,
+)
 from repro.obs.metrics import METRICS
 
 CONFIGS = [
@@ -56,7 +72,7 @@ STORM = ("seed=11,server.outage=0.35,net.partition=0.3,vm.crash=0.3,"
          "host.dropout=0.05")
 
 #: Storm cases for the kernel-vs-fallback state comparison: degraded
-#: mode off/on, retry budgets 0/1/3, with and without checkpoints.
+#: mode off/on, retry budgets 0-3, with and without checkpoints.
 STORM_CASES = [
     CONFIGS[0].with_overrides(checkpoint_interval_s=1800.0,
                               degraded_threshold=2, upload_retries=3),
@@ -64,7 +80,17 @@ STORM_CASES = [
     CONFIGS[2].with_overrides(degraded_threshold=0, upload_retries=1),
     # outages of up to three hours: buffered uploads outlive deadlines
     CONFIGS[0].with_overrides(outage_scale_s=10800.0, degraded_threshold=4),
+    # quorum 3 in degraded mode: the lone accepted result is not the
+    # work unit's first holder
+    CONFIGS[2].with_overrides(degraded_threshold=4, upload_retries=2),
 ]
+
+
+#: Quorum-of-1 with frequent errors: erroneous results lock units
+#: (validator state 2) and later ok returns land on them, which no
+#: other case reaches.
+BAD_LOCK = FleetConfig(hosts=70, seed=19, duration_s=43200.0, workunits=150,
+                       quorum=1, error_rate=0.2)
 
 
 def oracle_dict(config):
@@ -125,17 +151,31 @@ class TestFastMatchesOracle:
         live = simulate_fleet(config, jobs=1).to_dict()
         assert canonical(live) == canonical(oracle_dict(config))
 
-    @pytest.mark.parametrize("config", STORM_CASES,
-                             ids=[f"storm{i}" for i in range(4)])
+    @pytest.mark.parametrize(
+        "config", STORM_CASES,
+        ids=[f"storm{i}" for i in range(len(STORM_CASES))])
     @pytest.mark.parametrize("kernel", [True, False], ids=["c", "python"])
     def test_storm_columnar_path_byte_identical(self, config, kernel):
         with injected(parse_fault_spec(STORM)):
             expected = ref.simulate_fleet(config, jobs=1).to_dict()
         with injected(parse_fault_spec(STORM)), mock.patch.object(
                 server_module, "_c_event_loop",
-                run_event_loop if kernel else (lambda prep: None)):
+                run_event_loop if kernel else (lambda prep: None)), \
+                mock.patch.object(
+                    server_module, "_c_report_folds",
+                    report_folds if kernel else (lambda prep, state: None)):
             live = simulate_fleet(config, jobs=1).to_dict()
         assert canonical(live) == canonical(expected)
+
+
+def fast_prep(config, storm):
+    """A server's ``_FastPrep`` for ``config``, under ``storm`` if set."""
+    columns = build_fleet_columns(config, jobs=1)
+    with injected(parse_fault_spec(storm or "seed=0")):
+        if storm:
+            _apply_host_dropout(columns, config.duration_s)
+        server = FleetServer(config, columns)
+        return server, server._fast_prep()
 
 
 class TestKernelMatchesFallback:
@@ -149,12 +189,7 @@ class TestKernelMatchesFallback:
     def test_state_dicts_identical(self, config, storm):
         if not cloop_available():
             pytest.skip("no C compiler / kernel unavailable")
-        columns = build_fleet_columns(config, jobs=1)
-        with injected(parse_fault_spec(storm or "seed=0")):
-            if storm:
-                _apply_host_dropout(columns, config.duration_s)
-            server = FleetServer(config, columns)
-            prep = server._fast_prep()
+        server, prep = fast_prep(config, storm)
         assert prep.faults == bool(storm)
         c_state = run_event_loop(prep)
         assert c_state is not None
@@ -172,6 +207,51 @@ class TestKernelMatchesFallback:
             assert c_state["vm_crashes"] > 0
             assert c_state["uploads_retried"] + c_state["uploads_lost"] > 0
 
+    def test_report_folds_identical(self):
+        if not cloop_available():
+            pytest.skip("no C compiler / kernel unavailable")
+        cases = ([(c, None) for c in CONFIGS + [BAD_LOCK]]
+                 + [(c, STORM) for c in STORM_CASES])
+        codes_seen = set()
+        for config, storm in cases:
+            _, prep = fast_prep(config, storm)
+            state = run_event_loop(prep)
+            waste_before = state["waste"].tobytes()
+            c_folds = report_folds(prep, state)
+            py_folds = _report_folds(prep, state)
+            assert set(c_folds) == set(py_folds)
+            for key, c_val in c_folds.items():
+                p_val = py_folds[key]
+                if isinstance(c_val, np.ndarray):
+                    assert c_val.dtype == p_val.dtype, key
+                    assert c_val.tobytes() == p_val.tobytes(), key
+                else:
+                    assert type(c_val) is float and type(p_val) is float
+                    assert c_val == p_val, key
+            # the folds read the state; they never fold into it
+            assert state["waste"].tobytes() == waste_before
+            codes_seen |= set(
+                np.unique(state["wu_state"][state["ret_wid"]]).tolist())
+        # the ok-return walk takes every validator-state branch
+        assert {1, 2, 5} <= codes_seen, codes_seen
+
+    def test_serve_draw_port_is_bit_identical(self):
+        if not cloop_available():
+            pytest.skip("no C compiler / kernel unavailable")
+        rng = np.random.Generator(np.random.PCG64(2024))
+        seeds = np.concatenate([
+            np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64),
+            rng.integers(0, 2**64, size=1200, dtype=np.uint64,
+                         endpoint=False)])
+        draws = 48
+        # the kernel steps each lane on its own, lane after lane ...
+        got = serve_doubles(seeds, draws)
+        assert got.shape == (len(seeds), draws)
+        # ... which must equal the lockstep rounds, round after round
+        vec = VecPcg.seeded(seeds, "error")
+        want = np.stack([vec.doubles() for _ in range(draws)], axis=1)
+        assert got.tobytes() == want.tobytes()
+
     def test_fault_draw_port_is_bit_identical(self):
         if not cloop_available():
             pytest.skip("no C compiler / kernel unavailable")
@@ -187,6 +267,33 @@ class TestKernelMatchesFallback:
         long_seed = 10**80
         assert fault_draw(long_seed, "net.partition", 7, 3, "at") \
             == _draw(long_seed, "net.partition", 7, 3, "at")
+
+
+class TestKernelLoad:
+    def test_library_missing_an_entry_point_falls_back(self, monkeypatch):
+        """A build that predates ``fleet_report`` must not crash the run."""
+        def stale_cdll(path):
+            return types.SimpleNamespace(
+                fleet_run=types.SimpleNamespace(),
+                fault_draw=types.SimpleNamespace(),
+                serve_doubles=types.SimpleNamespace())
+
+        monkeypatch.delenv("REPRO_NO_CLOOP", raising=False)
+        monkeypatch.setattr(cloop, "_lib", None)
+        monkeypatch.setattr(cloop, "_tried", False)
+        monkeypatch.setattr(cloop, "_compile", lambda: "stale.so")
+        monkeypatch.setattr(cloop.ctypes, "CDLL", stale_cdll)
+        assert cloop_available() is False
+        config = CONFIGS[0]
+        live = simulate_fleet(config, jobs=1).to_dict()
+        assert canonical(live) == canonical(oracle_dict(config))
+
+    def test_cache_key_covers_compiler_and_flags(self):
+        flags = cloop._CFLAGS
+        paths = {cloop._so_path("/usr/bin/gcc", flags),
+                 cloop._so_path("/usr/bin/gcc", flags + ("-O3",)),
+                 cloop._so_path("/usr/bin/clang", flags)}
+        assert len(paths) == 3
 
 
 class TestStormsStayColumnar:
