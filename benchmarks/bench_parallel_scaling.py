@@ -6,8 +6,9 @@ counts and records the wall-clock trajectory to
 
 * **figure repetitions** — the Figure 7 host-impact measurement (one of
   the two heavy figures) through ``ParallelRepeater``;
-* **fleet shards** — a volunteer-fleet host build (the ``map_shards``
-  fan-out path that dominates large ``repro fleet`` runs).
+* **fleet shards** — a volunteer-fleet column build
+  (:func:`repro.fleet.build_fleet_columns`, the ``map_shards`` fan-out
+  path of large ``repro fleet`` runs).
 
 Each parallel level is timed twice: a **cold** run right after
 ``shutdown_pools()`` (the pool must fork first — what every run paid
@@ -42,8 +43,7 @@ from repro.core.experiment import Repeater
 from repro.core.host_impact import HostImpactConfig, SevenZipImpactMeasure
 from repro.core.parallel import ParallelRepeater
 from repro.core.workerpool import get_pool, shutdown_pools
-from repro.fleet import FleetConfig
-from repro.fleet.host import build_fleet_hosts
+from repro.fleet import FleetConfig, build_fleet_columns
 
 RESULTS_PATH = pathlib.Path(__file__).resolve().parent / \
     "BENCH_parallel_scaling.json"
@@ -115,14 +115,20 @@ def run_scaling(reps: int, job_counts, duration_s: float) -> list:
     return runs
 
 
+#: Every per-host and per-session column of a built fleet.
+COLUMN_FIELDS = ("hv_code", "gflops", "availability", "slowdown",
+                 "departure_s", "checkpoint_cost_s", "serve_seed",
+                 "s_starts", "s_ends", "s_off")
+
+
 def run_fleet_shards(hosts: int, days: float, job_counts, seed: int) -> list:
-    """The ``map_shards`` workload: build a volunteer fleet's hosts."""
+    """The ``map_shards`` workload: build a volunteer fleet's columns."""
     config = FleetConfig(hosts=hosts, hypervisor="vmplayer", seed=seed,
                          duration_s=days * 86400.0)
 
     def build(jobs):
-        return [host.to_dict()
-                for host in build_fleet_hosts(config, jobs=jobs)]
+        columns = build_fleet_columns(config, jobs=jobs)
+        return [getattr(columns, key).tobytes() for key in COLUMN_FIELDS]
 
     serial_hosts, serial_wall = _timed(lambda: build(1))
     runs = [{
@@ -160,7 +166,7 @@ def run_fleet_shards(hosts: int, days: float, job_counts, seed: int) -> list:
               f"exact={exact} reused={reused}")
         if not exact:
             raise SystemExit(
-                f"jobs={jobs} produced a different host list than the "
+                f"jobs={jobs} produced different fleet columns than the "
                 "serial build")
     return runs
 
@@ -194,7 +200,7 @@ def main(argv=None) -> int:
         "platform": platform.platform(),
         "python": platform.python_version(),
         "runs": run_scaling(args.reps, job_counts, args.duration),
-        "fleet_shard_workload": f"build_fleet_hosts x{args.fleet_hosts}, "
+        "fleet_shard_workload": f"build_fleet_columns x{args.fleet_hosts}, "
                                 f"{args.fleet_days:g} d traces, "
                                 f"seed {args.seed}",
         "fleet_shard_runs": run_fleet_shards(

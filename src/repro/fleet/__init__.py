@@ -15,19 +15,21 @@ Layout:
   value object every run is a pure function of;
 * :mod:`~repro.fleet.churn` — per-host availability traces
   (on/off sessions, permanent departure);
-* :mod:`~repro.fleet.host` — deterministic host sampling, sharded
-  across :func:`repro.core.parallel.map_shards` workers;
-* :mod:`~repro.fleet.columns` — the same hosts as flat columnar
-  arrays (CSR session traces) for 100k+-host runs, with
-  :class:`FleetHost` kept as a lazy view;
+* :mod:`~repro.fleet.host` — the :class:`FleetHost` record and the
+  host-sampling constants;
+* :mod:`~repro.fleet.columns` — deterministic host sampling into flat
+  columnar arrays (CSR session traces), sharded across
+  :func:`repro.core.parallel.map_shards` workers, with
+  :class:`FleetHost` kept as a lazy per-host view;
 * :mod:`~repro.fleet.fastrng` / :mod:`~repro.fleet.cloop` — the
   vectorised PCG64 replica and the compiled event-loop kernel behind
-  the columnar fast path;
+  the fleet event loop;
 * :mod:`~repro.fleet.validation` — the quorum validator;
 * :mod:`~repro.fleet.recovery` — the failure & recovery layer
   (server outages, upload retry/loss, checkpoint rollback,
   degraded-mode policy);
-* :mod:`~repro.fleet.server` — the discrete-event server loop and
+* :mod:`~repro.fleet.server` — the discrete-event server loop (one
+  loop, in C or its pure-Python twin, with metrics on or off) and
   :class:`FleetReport`;
 * :mod:`~repro.fleet.figures` — fleet-level figures registered in
   :data:`repro.core.figures.FIGURES`.
@@ -59,13 +61,7 @@ from repro.fleet.columns import (
     column_shards,
 )
 from repro.fleet.config import FleetConfig
-from repro.fleet.host import (
-    SHARD_SIZE,
-    FleetHost,
-    build_fleet_hosts,
-    host_shards,
-    sample_host,
-)
+from repro.fleet.host import FleetHost
 from repro.fleet.recovery import (
     RecoveryPolicy,
     checkpoint_cost_s,
@@ -100,11 +96,9 @@ __all__ = [
     "MIXED_FLEET",
     "QuorumValidator",
     "RecoveryPolicy",
-    "SHARD_SIZE",
     "active_seconds",
     "availability_trace",
     "build_fleet_columns",
-    "build_fleet_hosts",
     "column_shards",
     "checkpoint_cost_s",
     "erroneous_key",
@@ -117,12 +111,10 @@ __all__ = [
     "fleet_slowdown",
     "fleet_slowdowns",
     "fleet_waste_figure",
-    "host_shards",
     "memory_slowdown_factor",
     "outage_windows",
     "report_figure",
     "resolve_hypervisor",
     "rollback_seconds",
-    "sample_host",
     "simulate_fleet",
 ]

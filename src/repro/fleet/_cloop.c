@@ -290,6 +290,8 @@ typedef struct {
     int64_t uploads_retried, uploads_lost, vm_crashes, part_n;
     int64_t degraded_validated, backlog, degraded, deg_n;
     double rolled_back_cpu, lost_upload_cpu, deg_since, deg_s;
+    /* the need queue's longest length right after a dispatch */
+    int64_t need_peak;
 } FleetCtx;
 
 static void heap_push(FleetCtx *c, double t, int64_t seq, uint64_t pay)
@@ -486,6 +488,8 @@ static void dispatch(FleetCtx *c, int64_t h, double now)
         return;
     }
     c->poll_fail[h] = 0;
+    if (c->need_count > c->need_peak)
+        c->need_peak = c->need_count;
     int64_t rid = c->n_rep;
     int32_t tcount = c->wu_tmo[wid];
     double deadline = now
@@ -707,7 +711,7 @@ int fleet_run(FleetCtx *c)
             int redispatch = c->n_valid < c->nwu;
             if (redispatch && c->heap_len > 0 && c->h_t[0] == t) {
                 /* a tied event must process first: fall back to the
-                 * classic re-poll push */
+                 * pushed re-poll */
                 heap_push(c, t, c->seq++,
                           ((uint64_t)K_REQUEST << 32) | (uint64_t)h);
                 redispatch = 0;

@@ -102,6 +102,7 @@ class _FleetCtx(ctypes.Structure):
         ("degraded", _I), ("deg_n", _I),
         ("rolled_back_cpu", _D), ("lost_upload_cpu", _D),
         ("deg_since", _D), ("deg_s", _D),
+        ("need_peak", _I),
     ]
 
 
@@ -130,7 +131,7 @@ class _ReportCtx(ctypes.Structure):
 _STATE_INTS = ("n_valid", "n_rep", "ok_n", "err_n", "stale_n", "tmo_n",
                "red_n", "uploads_retried", "uploads_lost", "vm_crashes",
                "part_n", "degraded_validated", "backlog", "degraded",
-               "deg_n")
+               "deg_n", "need_peak")
 _STATE_FLOATS = ("err_cpu", "stale_cpu", "red_cpu", "rolled_back_cpu",
                  "lost_upload_cpu", "deg_since", "deg_s")
 

@@ -1,8 +1,10 @@
 """Columnar fleet host state: flat arrays instead of per-host objects.
 
-The object path (:mod:`repro.fleet.host`) samples each volunteer with
-its own :class:`repro.simcore.rng.RngStreams` bundle — safe, obvious,
-and ~2,400 hosts/s.  This module builds the *same* hosts as flat numpy
+The object model samples each volunteer with its own
+:class:`repro.simcore.rng.RngStreams` bundle — safe, obvious, and
+~2,400 hosts/s; it is kept as the equivalence oracle
+(``sample_host``/``build_fleet_hosts`` in ``tests/_reference_fleet.py``).
+This module builds the *same* hosts as flat numpy
 columns (gflops, availability, slowdown, departure, checkpoint cost)
 plus a CSR-style session layout: one flat ``starts``/``ends`` float
 array with per-host offsets, so a 100k-host fleet is a handful of
@@ -16,7 +18,7 @@ re-implementation of the exact PCG64 + SeedSequence pipeline behind
 ``RngStreams`` (validated lane-by-lane against numpy in
 ``tests/test_fleet_fastrng.py``), and every derived quantity repeats
 the object path's float operations in the same order.  The resulting
-columns are **byte-identical** to ``build_fleet_hosts`` — asserted by
+columns are **byte-identical** to the object build — asserted by
 ``tests/test_fleet_columns.py`` across hypervisor mixes, sigma settings
 and horizons — so :class:`FleetHost` survives as a lazy *view*
 materialised on demand (tests, ``to_dict``, figures), never as the hot
@@ -151,9 +153,9 @@ class FleetColumns:
 class HostViews(Sequence):
     """A lazy ``Sequence[FleetHost]`` over :class:`FleetColumns`.
 
-    The classic event loop (and any test poking ``server.hosts[i]``)
-    sees ordinary ``FleetHost`` records; each is materialised from the
-    columns on first touch and cached on the column store.
+    Tests and figures that read hosts one by one see ordinary
+    ``FleetHost`` records; each is materialised from the columns on
+    first touch and cached on the column store.
     """
 
     __slots__ = ("_cols",)
@@ -182,7 +184,7 @@ def column_shards(n_hosts: int) -> List[Tuple[int, int]]:
 def _sample_shard_columns(config: FleetConfig, start: int,
                           stop: int) -> Dict[str, np.ndarray]:
     """Sample hosts ``[start, stop)`` as columns — the vectorised twin
-    of ``sample_host`` run ``stop - start`` times.
+    of the object model's ``sample_host`` run ``stop - start`` times.
 
     Each step repeats the object path's draws and float operations
     exactly; see the module docstring for the bit-identity contract.
@@ -280,8 +282,11 @@ def build_fleet_columns(config: FleetConfig,
                         jobs: Optional[int] = None) -> FleetColumns:
     """Build the whole fleet as :class:`FleetColumns`.
 
-    Same worker-count policy and serial-fallback threshold as
-    :func:`repro.fleet.host.build_fleet_hosts`; the merged columns are
+    Worker-count policy follows :func:`repro.core.parallel.resolve_jobs`
+    (explicit ``jobs``, else the activated RunConfig, else every
+    schedulable core); fleets below :data:`MIN_PARALLEL_HOSTS`, or of a
+    single shard, build in the parent (the former recorded as
+    ``parallel.fallback_serial`` in METRICS).  The merged columns are
     bit-identical to the serial build (fixed shard boundaries, hosts
     seeded only from their own index).
     """

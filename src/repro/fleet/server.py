@@ -43,56 +43,41 @@ the sites; see :mod:`repro.fleet.recovery` for the model):
   (every such validation tallied as a validation risk), recovering when
   the backlog drains to zero.
 
-Two executions of the same loop coexist.  The **columnar** loop
-(:meth:`FleetServer._fast_run`) drives the events over
+One event loop runs every fleet.  It drives the events over
 :class:`repro.fleet.columns.FleetColumns` flat arrays and parallel
 lists — in the compiled kernel (``_cloop.c``) or its pure-Python twin
-:meth:`FleetServer._fast_loop_python` — and is the production path for
-metrics-off runs, fault-free or under a fault storm.  The **classic**
-loop walks ``FleetHost`` objects and ``WorkUnit``/``Replica`` records;
-it runs when the server is handed a host list or when metrics are
-enabled (its handlers feed the ``fleet.*`` counters) — which includes
-``repro fleet`` and ``repro campaign`` unless given ``--no-metrics``,
-since both record a manifest by default.  Both are byte-identical at
-every seed, config and fault plan (asserted by the equivalence tests
-against the archived pre-columnar server in
-``tests/_reference_fleet.py``).
+:meth:`FleetServer._fast_loop_python`, which leave the same canonical
+flat state — and :meth:`FleetServer._fast_report` renders the report
+from that state.  Fault-free or under a storm, metrics on or off, the
+same code runs: an enabled :data:`repro.obs.metrics.METRICS` registry
+gets its ``fleet.*`` instruments from the end state after the run.
+Reports are byte-identical, and the metrics snapshot equal, to the
+archived object-model server in ``tests/_reference_fleet.py`` at every
+seed, config and fault plan (asserted by the equivalence tests).
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
-import itertools
 import math
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.faults import FAULTS
 from repro.faults.plan import _draw as fault_draw
 from repro.fleet.calibration import fleet_slowdown
-from repro.fleet.churn import active_seconds, finish_time
-from repro.fleet.columns import (
-    FleetColumns,
-    build_fleet_columns,
-)
+from repro.fleet.columns import FleetColumns, build_fleet_columns
 from repro.fleet.config import FleetConfig
 from repro.fleet.cloop import report_folds as _c_report_folds
 from repro.fleet.cloop import run_event_loop as _c_event_loop
 from repro.fleet.fastrng import VecPcg
-from repro.fleet.host import FleetHost
 from repro.fleet.recovery import outage_windows, rollback_seconds
-from repro.fleet.validation import (
-    CANONICAL_KEY,
-    QuorumValidator,
-    erroneous_key,
-)
 from repro.obs.metrics import METRICS
-from repro.simcore.rng import RngStreams
 
 # event kinds (ints so heap tuples compare cheaply and deterministically)
 _REQUEST = 0
@@ -102,41 +87,6 @@ _UPLOAD = 3
 
 #: Cap on the host poll backoff when the server has no work to give.
 _MAX_POLL_BACKOFF_S = 7200.0
-
-
-@dataclass
-class Replica:
-    """One issued copy of a work unit on one host."""
-
-    rid: int
-    wu_id: int
-    host: int
-    dispatched_s: float
-    deadline_s: float
-    cpu_s: float                      #: active seconds if it completes
-    finish_s: Optional[float]         #: None = never completes in-trace
-    completed: bool = False           #: result delivered to the server
-    timed_out: bool = False
-    rolled_back_s: float = 0.0        #: redone seconds after a vm.crash
-    crash_wall_s: Optional[float] = None  #: when the crash lands in-trace
-    rollback_counted: bool = False
-    upload_attempts: int = 0
-    compute_done_s: Optional[float] = None  #: compute finished, upload pending
-
-
-@dataclass
-class WorkUnit:
-    """Server-side state of one work unit."""
-
-    wu_id: int
-    flops: float
-    issued: int = 0
-    outstanding: int = 0
-    timeouts: int = 0
-    validated_at: Optional[float] = None
-    hosts: set = field(default_factory=set)
-    ok_returns: List = field(default_factory=list)  # (host, cpu_s)
-    degraded_by: Optional[int] = None  #: host whose lone result validated
 
 
 @dataclass
@@ -320,11 +270,12 @@ class _FastPrep:
 def _report_folds(prep: _FastPrep, state: Dict[str, Any]) -> Dict[str, Any]:
     """The report's order-sensitive folds over the canonical flat state.
 
-    Every float accumulation whose order the classic report fixes lives
-    here, as a Python left fold in the classic walk order:
+    Every float accumulation whose order the report fixes lives here,
+    as a Python left fold in the object model's walk order (the
+    reference server in ``tests/_reference_fleet.py``):
 
     * the ok returns, wid-major with delivery order kept within a wid
-      (the classic ``for wu: for wu.ok_returns`` walk), split by the
+      (the ``for wu: for wu.ok_returns`` walk), split by the
       work unit's validator state into quorum / redundant / pending;
     * the replicas still incomplete at the horizon, in rid order, into
       lost / rolled-back / in-flight seconds (a bisect into the host's
@@ -464,14 +415,15 @@ def _report_folds(prep: _FastPrep, state: Dict[str, Any]) -> Dict[str, Any]:
 class FleetServer:
     """One project server driving a fleet of sampled volunteer hosts."""
 
-    def __init__(self, config: FleetConfig,
-                 hosts: Union[Sequence[FleetHost], FleetColumns],
+    def __init__(self, config: FleetConfig, columns: FleetColumns,
                  dropouts: int = 0):
+        if not isinstance(columns, FleetColumns):
+            raise TypeError(
+                "FleetServer takes the fleet as FleetColumns (build it "
+                "with repro.fleet.build_fleet_columns), got "
+                f"{type(columns).__name__}")
         self.config = config
-        self.columns: Optional[FleetColumns] = \
-            hosts if isinstance(hosts, FleetColumns) else None
-        self.hosts: Sequence[FleetHost] = \
-            self.columns.views() if self.columns is not None else hosts
+        self.columns = columns
         self.dropouts = dropouts
         self.policy = config.recovery_policy()
         # server.outage schedule: drawn once, from the fault stream only
@@ -479,69 +431,6 @@ class FleetServer:
             outage_windows(config.duration_s, self.policy.outage_scale_s)
             if FAULTS.enabled else [])
         self._outage_starts = [start for start, _ in self._outages]
-        self.validator = QuorumValidator(config.quorum)
-        # Columns without metrics run the flat fast loop, which keeps
-        # work-unit and replica state in parallel lists of its own; the
-        # classic loop materialises the record objects.  Eligibility is
-        # re-checked in run() so enabling METRICS between construction
-        # and run still lands on the classic loop.
-        self._fast = self.columns is not None and not METRICS.enabled
-        self.workunits: List[WorkUnit] = []
-        self.need: deque = deque()
-        self._poll_failures: List[int] = []
-        if not self._fast:
-            self._init_classic_state()
-        self.replicas: List[Replica] = []
-        self._rng_serve: Dict[int, RngStreams] = {}
-        self._session_starts: Dict[int, Tuple[float, ...]] = {}
-        self._heap: List = []
-        self._seq = itertools.count()
-        self._n_valid = 0
-        # tallies
-        self.results_ok = 0
-        self.results_erroneous = 0
-        self.results_stale = 0
-        self.timeouts = 0
-        self.redundant_results = 0
-        self.erroneous_cpu_s = 0.0
-        self.stale_cpu_s = 0.0
-        self.redundant_cpu_s = 0.0
-        self._wasted_by_host: Dict[int, float] = {}
-        # recovery tallies
-        self.uploads_retried = 0
-        self.uploads_lost = 0
-        self.vm_crashes = 0
-        self.rolled_back_cpu_s = 0.0
-        self.lost_upload_cpu_s = 0.0
-        self.degraded_validated = 0
-        self._upload_backlog = 0
-        self._degraded = False
-        self._degraded_since: Optional[float] = None
-        self._degraded_windows: List[Tuple[float, float]] = []
-
-    def _init_classic_state(self) -> None:
-        """Materialise the record-object state the classic loop drives."""
-        if self.workunits:
-            return
-        self.workunits = [
-            WorkUnit(wu_id=i, flops=self.config.wu_flops)
-            for i in range(self.config.resolved_workunits())
-        ]
-        self.need = deque()
-        for wu in self.workunits:
-            for _ in range(self.config.quorum):
-                self.need.append(wu.wu_id)
-        self._poll_failures = [0] * len(self.hosts)
-        self._fast = False
-
-    # -- event plumbing --------------------------------------------------
-
-    def _push(self, time_s: float, kind: int, payload: int) -> None:
-        heapq.heappush(self._heap, (time_s, next(self._seq), kind, payload))
-
-    def _waste_on(self, host_index: int, cpu_s: float) -> None:
-        self._wasted_by_host[host_index] = \
-            self._wasted_by_host.get(host_index, 0.0) + cpu_s
 
     def _outage_at(self, time_s: float) -> Optional[Tuple[float, float]]:
         """The ``[start, end)`` outage window covering ``time_s``, if any.
@@ -557,348 +446,18 @@ class FleetServer:
                 return window
         return None
 
-    def _serve_uniform(self, host_index: int) -> float:
-        """Next draw on one host's ``serve``/``error`` stream (lazy).
-
-        Streams materialise on first use instead of eagerly for every
-        host — most hosts never return an acceptable result in a short
-        run.  With columns in hand the serve fork's seed is already a
-        column; deriving the stream from it is bit-identical to the
-        object path's ``fork(f"host-{i}").fork("serve")`` chain.
-        """
-        rng = self._rng_serve.get(host_index)
-        if rng is None:
-            if self.columns is not None:
-                rng = RngStreams(int(self.columns.serve_seed[host_index]))
-            else:
-                rng = RngStreams(self.config.seed) \
-                    .fork(f"host-{self.hosts[host_index].index}") \
-                    .fork("serve")
-            self._rng_serve[host_index] = rng
-        return rng.uniform("error")
-
-    def _starts_for(self, host_index: int) -> Tuple[float, ...]:
-        """Cached per-host session-start tuple for bisect lookups.
-
-        ``finish_time``/``active_seconds`` used to rebuild the start
-        list from the session pairs on every call — an O(sessions)
-        allocation inside the two hottest per-event helpers."""
-        starts = self._session_starts.get(host_index)
-        if starts is None:
-            starts = tuple(s for s, _ in self.hosts[host_index].sessions)
-            self._session_starts[host_index] = starts
-        return starts
-
-    # -- server policy ---------------------------------------------------
-
-    def _deadline_for(self, wu: WorkUnit, host: FleetHost,
-                      now: float) -> float:
-        """Deadline from the *nominal* expected wall time (the server
-        knows the hypervisor's calibrated slowdown and the fleet's mean
-        availability, not this host's private trace), stretched by the
-        backoff factor for every timeout the work unit already suffered."""
-        cfg = self.config
-        nominal_rate = cfg.host_gflops_median * 1e9 \
-            / fleet_slowdown(host.hypervisor)
-        expected_wall = (wu.flops / nominal_rate) / cfg.availability_mean
-        stretch = cfg.backoff_factor ** min(wu.timeouts, 8)
-        return now + cfg.deadline_factor * expected_wall * stretch
-
-    def _take_work(self, host_index: int) -> Optional[WorkUnit]:
-        """Oldest needed replica this host may serve (FIFO with skips)."""
-        stash = []
-        found = None
-        while self.need:
-            wu_id = self.need.popleft()
-            wu = self.workunits[wu_id]
-            if wu.validated_at is not None \
-                    or wu.issued >= self.config.max_replicas:
-                continue  # entry is stale; drop it
-            if host_index in wu.hosts:
-                stash.append(wu_id)
-                continue
-            found = wu
-            break
-        self.need.extendleft(reversed(stash))
-        return found
-
-    def _maybe_reissue(self, wu: WorkUnit) -> None:
-        """Queue another replica when the quorum is no longer reachable
-        from matching results plus outstanding replicas."""
-        if wu.validated_at is not None:
-            return
-        potential = self.validator.matching_count(wu.wu_id) + wu.outstanding
-        if potential < self.config.quorum \
-                and wu.issued < self.config.max_replicas:
-            self.need.append(wu.wu_id)
-
-    # -- event handlers --------------------------------------------------
-
-    def _handle_request(self, host_index: int, now: float) -> None:
-        host = self.hosts[host_index]
-        window = self._outage_at(now)
-        if window is not None:
-            # scheduler down: the host re-polls when the window ends
-            # (poll-failure backoff untouched — this is not a dry queue)
-            if window[1] < min(self.config.duration_s, host.departure_s):
-                self._push(window[1], _REQUEST, host_index)
-            return
-        wu = self._take_work(host_index)
-        if wu is None:
-            if self._n_valid >= len(self.workunits):
-                return  # everything validated; the host retires
-            failures = self._poll_failures[host_index] = \
-                self._poll_failures[host_index] + 1
-            delay = min(self.config.poll_interval_s * (2.0 ** (failures - 1)),
-                        _MAX_POLL_BACKOFF_S)
-            next_poll = now + delay
-            if next_poll < min(self.config.duration_s, host.departure_s):
-                self._push(next_poll, _REQUEST, host_index)
-            return
-        self._poll_failures[host_index] = 0
-        starts = self._starts_for(host_index)
-        rid = len(self.replicas)
-        active_needed = wu.flops / host.rate_flops_per_s
-        interval = self.config.checkpoint_interval_s
-        if interval > 0 and host.checkpoint_cost_s > 0:
-            # checkpoint tax: one image write per interval of compute
-            active_needed *= 1.0 + host.checkpoint_cost_s / interval
-        rolled_back = 0.0
-        crash_wall: Optional[float] = None
-        if FAULTS.enabled and FAULTS.would_fire("vm.crash", key=rid,
-                                                attempt=0):
-            # crash point as a fraction of this replica's compute; the
-            # guest restores from its last checkpoint, redoing only
-            # progress − last_checkpoint seconds.  would_fire + record
-            # so a crash the trace never reaches is not tallied.
-            progress = FAULTS.uniform("vm.crash", rid, "at") * active_needed
-            crash_wall = finish_time(host.sessions, now, progress, starts)
-            if crash_wall is not None:
-                FAULTS.record("vm.crash")
-                rolled_back = rollback_seconds(progress, interval)
-                active_needed += rolled_back
-                self.vm_crashes += 1
-        deadline = self._deadline_for(wu, host, now)
-        finish = finish_time(host.sessions, now, active_needed, starts)
-        replica = Replica(rid=rid, wu_id=wu.wu_id, host=host_index,
-                          dispatched_s=now, deadline_s=deadline,
-                          cpu_s=active_needed, finish_s=finish,
-                          rolled_back_s=rolled_back,
-                          crash_wall_s=crash_wall)
-        self.replicas.append(replica)
-        wu.issued += 1
-        wu.outstanding += 1
-        wu.hosts.add(host_index)
-        if finish is not None:
-            self._push(finish, _COMPLETE, rid)
-        if deadline <= self.config.duration_s:
-            self._push(deadline, _DEADLINE, rid)
-        if METRICS.enabled:
-            METRICS.inc("fleet.dispatched")
-            METRICS.gauge_max("fleet.need_queue_peak", len(self.need))
-
-    def _handle_deadline(self, rid: int, now: float) -> None:
-        replica = self.replicas[rid]
-        if replica.completed or replica.timed_out:
-            return
-        replica.timed_out = True
-        wu = self.workunits[replica.wu_id]
-        wu.outstanding -= 1
-        if wu.validated_at is None:
-            wu.timeouts += 1
-            self.timeouts += 1
-            if METRICS.enabled:
-                METRICS.inc("fleet.timeouts")
-            self._maybe_reissue(wu)
-
-    def _handle_complete(self, rid: int, now: float) -> None:
-        replica = self.replicas[rid]
-        replica.compute_done_s = now
-        self._count_rollback(replica)
-        if self._n_valid < len(self.workunits):
-            # the host is free again: poll immediately.  Once every work
-            # unit has validated the poll could only retire the host, so
-            # it is skipped — the elided events are provably dead (the
-            # report never changes; asserted by the regression tests).
-            self._push(now, _REQUEST, replica.host)
-        self._attempt_upload(rid, now)
-
-    def _count_rollback(self, replica: Replica) -> None:
-        """Tally a crash's redone seconds exactly once per replica."""
-        if replica.rolled_back_s and not replica.rollback_counted:
-            replica.rollback_counted = True
-            self.rolled_back_cpu_s += replica.rolled_back_s
-            self._waste_on(replica.host, replica.rolled_back_s)
-            if METRICS.enabled:
-                METRICS.inc("fleet.rolled_back")
-
-    def _attempt_upload(self, rid: int, now: float) -> None:
-        """Try to deliver a finished result; buffer it when blocked.
-
-        A server outage blocks every upload until the window ends; a
-        ``net.partition`` draw loses this one attempt.  Either way the
-        host retries on exponential backoff until the retry budget runs
-        out, then the result is gone for good.
-        """
-        replica = self.replicas[rid]
-        window = self._outage_at(now)
-        earliest_retry = now
-        if window is not None:
-            earliest_retry = window[1]
-        elif not (FAULTS.enabled
-                  and FAULTS.fires("net.partition", key=rid,
-                                   attempt=replica.upload_attempts)):
-            self._deliver_result(rid, now)
-            return
-        attempt = replica.upload_attempts
-        replica.upload_attempts = attempt + 1
-        if attempt >= self.policy.upload_retries:
-            self._drop_upload(rid, now)
-            return
-        self.uploads_retried += 1
-        retry_at = max(now + self.policy.retry_delay_s(attempt),
-                       earliest_retry)
-        self._upload_backlog += 1
-        self._update_degraded(now)
-        self._push(retry_at, _UPLOAD, rid)
-        if METRICS.enabled:
-            METRICS.inc("fleet.upload_retried")
-
-    def _handle_upload(self, rid: int, now: float) -> None:
-        self._upload_backlog -= 1
-        self._attempt_upload(rid, now)
-        self._update_degraded(now)
-
-    def _drop_upload(self, rid: int, now: float) -> None:
-        """Retry budget exhausted: the computed result is lost."""
-        replica = self.replicas[rid]
-        wu = self.workunits[replica.wu_id]
-        replica.completed = True
-        self.uploads_lost += 1
-        useful = replica.cpu_s - replica.rolled_back_s
-        self.lost_upload_cpu_s += useful
-        self._waste_on(replica.host, useful)
-        if not replica.timed_out:
-            wu.outstanding -= 1
-            replica.timed_out = True
-        if METRICS.enabled:
-            METRICS.inc("fleet.upload_lost")
-        self._maybe_reissue(wu)
-
-    def _update_degraded(self, now: float) -> None:
-        """Degraded-mode hysteresis on the buffered-upload backlog."""
-        threshold = self.policy.degraded_threshold
-        if threshold <= 0:
-            return
-        if not self._degraded and self._upload_backlog > threshold:
-            self._degraded = True
-            self._degraded_since = now
-            if METRICS.enabled:
-                METRICS.inc("fleet.degraded_entered")
-        elif self._degraded and self._upload_backlog == 0:
-            self._degraded = False
-            self._degraded_windows.append((self._degraded_since, now))
-            self._degraded_since = None
-
-    def _deliver_result(self, rid: int, now: float) -> None:
-        replica = self.replicas[rid]
-        replica.completed = True
-        host = self.hosts[replica.host]
-        wu = self.workunits[replica.wu_id]
-        # rolled-back seconds are already tallied as their own waste
-        # bucket, so every path below accounts the useful remainder only
-        useful = replica.cpu_s - replica.rolled_back_s
-        if replica.timed_out or now > replica.deadline_s:
-            # past deadline: the server already reassigned; discard
-            self.results_stale += 1
-            self.stale_cpu_s += useful
-            self._waste_on(replica.host, useful)
-            if not replica.timed_out:
-                wu.outstanding -= 1
-                replica.timed_out = True
-            if METRICS.enabled:
-                METRICS.inc("fleet.stale")
-            self._maybe_reissue(wu)
-            return
-        wu.outstanding -= 1
-        if wu.validated_at is not None:
-            self.redundant_results += 1
-            self.redundant_cpu_s += useful
-            self._waste_on(replica.host, useful)
-            if METRICS.enabled:
-                METRICS.inc("fleet.redundant")
-            return
-        bad = self._serve_uniform(replica.host) < host.error_rate
-        if bad:
-            key = erroneous_key(wu.wu_id, replica.host, rid)
-            self.results_erroneous += 1
-            self.erroneous_cpu_s += useful
-            self._waste_on(replica.host, useful)
-            self.validator.record(wu.wu_id, replica.host, key)
-            if METRICS.enabled:
-                METRICS.inc("fleet.erroneous")
-            self._maybe_reissue(wu)
-            return
-        self.results_ok += 1
-        wu.ok_returns.append((replica.host, useful))
-        if self.validator.record(wu.wu_id, replica.host, CANONICAL_KEY):
-            wu.validated_at = now
-            self._n_valid += 1
-            if METRICS.enabled:
-                METRICS.inc("fleet.validated")
-                METRICS.observe("fleet.makespan_s", now)
-                METRICS.hist("fleet.makespan_h", now / 3600.0)
-        elif self._degraded:
-            # degraded mode: the backlog is past threshold, so the
-            # server accepts this lone result as quorum-of-1 — a
-            # validation risk, counted as such
-            wu.validated_at = now
-            wu.degraded_by = replica.host
-            self._n_valid += 1
-            self.degraded_validated += 1
-            if METRICS.enabled:
-                METRICS.inc("fleet.validated")
-                METRICS.inc("fleet.degraded_validated")
-                METRICS.observe("fleet.makespan_s", now)
-                METRICS.hist("fleet.makespan_h", now / 3600.0)
-        else:
-            self._maybe_reissue(wu)
-
     # -- the run ---------------------------------------------------------
 
     def run(self) -> FleetReport:
-        if self._fast and not METRICS.enabled:
-            return self._fast_run()
-        self._init_classic_state()
-        horizon = self.config.duration_s
-        for host in self.hosts:
-            if host.sessions:
-                self._push(host.sessions[0][0], _REQUEST, host.index)
-        heap = self._heap
-        while heap:
-            time_s, _seq, kind, payload = heapq.heappop(heap)
-            if time_s > horizon:
-                break
-            if kind == _REQUEST:
-                self._handle_request(payload, time_s)
-            elif kind == _COMPLETE:
-                self._handle_complete(payload, time_s)
-            elif kind == _UPLOAD:
-                self._handle_upload(payload, time_s)
-            else:
-                self._handle_deadline(payload, time_s)
-        return self._report()
-
-    # -- the columnar fast loop ------------------------------------------
-
-    def _fast_run(self) -> FleetReport:
-        """Run the columnar fast path (fault-free or under a storm).
+        """Run the fleet (fault-free or under a storm) and report.
 
         Builds the shared read-only prep, runs the event loop — the
         compiled C kernel when available, the pure-Python fallback
         otherwise; both produce the identical canonical flat state —
         tallies the run's ``vm.crash``/``net.partition`` injections in
-        bulk and renders one report from that state.
+        bulk and renders one report from that state.  An enabled
+        metrics registry changes nothing here: the ``fleet.*``
+        instruments are derived from the same end state afterwards.
         """
         prep = self._fast_prep()
         state = _c_event_loop(prep)
@@ -907,7 +466,11 @@ class FleetServer:
         if prep.faults:
             FAULTS.record("vm.crash", state["vm_crashes"])
             FAULTS.record("net.partition", state["part_n"])
-        return self._fast_report(prep, state)
+        report = self._fast_report(prep, state)
+        if METRICS.enabled:
+            _record_metrics(report, state)
+        return report
+
 
     def _fast_prep(self) -> _FastPrep:
         cfg = self.config
@@ -948,7 +511,7 @@ class FleetServer:
             delays.append(min(delays[-1] * 2.0, _MAX_POLL_BACKOFF_S))
         prep.delays = np.array(delays, dtype=np.float64)
         prep.serve_seed = cols.serve_seed
-        # the fault storm, read at run time like the classic handlers do
+        # the fault storm, read at run time
         plan = FAULTS.plan if FAULTS.enabled else None
         arms = plan.arms if plan is not None else {}
         prep.fault_seed = plan.seed if plan is not None else 0
@@ -967,11 +530,12 @@ class FleetServer:
         return prep
 
     def _fast_loop_python(self, prep: _FastPrep) -> Dict[str, Any]:
-        """The classic event loop over flat columns.
+        """The fleet event loop over flat columns, in pure Python.
 
-        Same events, same order, same floats — the differences are
-        representational (parallel lists instead of ``Replica`` /
-        ``WorkUnit`` records, pre-drawn error uniforms, a monotone
+        Same events, same order, same floats as the object-model
+        reference server — the differences are representational
+        (parallel lists instead of replica and work-unit records,
+        pre-drawn error uniforms, a monotone
         per-host cursor into the CSR trace) plus three provably
         unobservable event elisions:
 
@@ -988,7 +552,7 @@ class FleetServer:
           the first popped time past the horizon, processing none of
           them, and relative order among surviving events is preserved.
 
-        Under a storm (``prep.faults``) the loop runs the classic
+        Under a storm (``prep.faults``) the loop runs the
         recovery state machine: requests inside an outage window
         re-poll at its end; ``vm.crash`` draws at dispatch and, when the
         crash lands in-trace, adds the rolled-back seconds to the
@@ -1006,6 +570,8 @@ class FleetServer:
         never validate the unit), 5 = open then validated by a degraded
         quorum-of-1 (the last holder is the lone result), 3 = locked
         then validated by a degraded quorum-of-1.  Bit 0 is "validated".
+        ``need_peak`` is the need queue's longest length right after a
+        dispatch (the ``fleet.need_queue_peak`` gauge).
 
         ``repro/fleet/_cloop.c`` is a transliteration of this loop;
         both return the canonical flat state that
@@ -1040,6 +606,7 @@ class FleetServer:
         ret_cpu: List[float] = []
         wu_hosts: List[Optional[list]] = [None] * nwu
         need = deque(wid for wid in range(nwu) for _ in range(quorum))
+        need_peak = 0
 
         # replica state, flat
         r_pack: List[Tuple[int, int, float]] = []  # (wu_id, host, deadline)
@@ -1110,7 +677,7 @@ class FleetServer:
             n_valid += 1
 
         def dispatch(h: int, now: float) -> None:
-            nonlocal seq, vm_crashes
+            nonlocal seq, vm_crashes, need_peak
             window = outage_at(now) if faults else None
             if window is not None:
                 # scheduler down: the host re-polls when the window ends
@@ -1158,6 +725,8 @@ class FleetServer:
                     seq += 1
                 return
             poll_fail[h] = 0
+            if len(need) > need_peak:
+                need_peak = len(need)
             rid = len(r_disp)
             t = wu_tmo[wid]
             deadline = now + base[h] * stretch[t if t < 8 else 8]
@@ -1335,8 +904,8 @@ class FleetServer:
                 redispatch = n_valid < nwu
                 if redispatch and heap and heap[0][0] == time_s:
                     # a tied event must process first: fall back to the
-                    # classic re-poll push (delivery pushes no events at
-                    # this time, so relative order matches the object loop)
+                    # pushed re-poll (delivery pushes no events at this
+                    # time, so relative order matches the object model)
                     push(heap, (time_s, seq, _REQUEST, h))
                     seq += 1
                     redispatch = False
@@ -1416,12 +985,14 @@ class FleetServer:
             "deg_since": deg_since,
             "deg_n": deg_n,
             "deg_s": deg_s,
+            "need_peak": need_peak,
         }
 
     def _fast_report(self, prep: _FastPrep,
                      state: Dict[str, Any]) -> FleetReport:
-        """Mirror of :meth:`_report` over the canonical flat state —
-        field for field, float operation for float operation.
+        """The run's report from the canonical flat state — field for
+        field, float operation for float operation, what the object
+        model's report computes.
 
         The order-sensitive float folds (the wid-major walk over ok
         returns, the rid-order walk over incomplete replicas, the
@@ -1430,7 +1001,7 @@ class FleetServer:
         Python spec :func:`_report_folds` otherwise — bit-identical.
         What stays here is order-free: numpy gathers, sorts and integer
         counts, plus the scalar arithmetic and builtin ``sum()`` calls
-        the classic report makes over the fold results.
+        the object model's report makes over the fold results.
         """
         cfg = self.config
         cols = self.columns
@@ -1497,7 +1068,7 @@ class FleetServer:
             np.float64), minlength=ncodes)
         codes, first_at = np.unique(prep.hv_code, return_index=True)
         per_hv: Dict[str, Dict[str, float]] = {}
-        # insertion order = first-appearance order, as the classic walk
+        # insertion order = first-appearance order, as the host walk
         for code in codes[np.argsort(first_at)].tolist():
             name = cols.hv_names[code]
             denom = qc_sum[code] + w_sum[code]
@@ -1517,26 +1088,6 @@ class FleetServer:
         if state["degraded"]:
             degraded_windows += 1
             degraded_s += horizon - state["deg_since"]
-
-        # expose the classic tallies for introspection parity
-        self._n_valid = n_valid
-        self.results_ok = ok_n
-        self.results_erroneous = err_n
-        self.results_stale = stale_n
-        self.timeouts = tmo_n
-        self.redundant_results = red_n
-        self.erroneous_cpu_s = err_cpu
-        self.stale_cpu_s = stale_cpu
-        self.redundant_cpu_s = red_cpu
-        self.uploads_retried = state["uploads_retried"]
-        self.uploads_lost = state["uploads_lost"]
-        self.vm_crashes = state["vm_crashes"]
-        self.rolled_back_cpu_s = rolled_back
-        self.lost_upload_cpu_s = state["lost_upload_cpu"]
-        self.degraded_validated = state["degraded_validated"]
-        wasted_hosts = np.flatnonzero(waste)
-        self._wasted_by_host = dict(zip(wasted_hosts.tolist(),
-                                        waste[wasted_hosts].tolist()))
 
         return FleetReport(
             config=cfg.to_dict(),
@@ -1585,166 +1136,45 @@ class FleetServer:
             },
         )
 
-    # -- accounting ------------------------------------------------------
 
-    def _report(self) -> FleetReport:
-        cfg = self.config
-        horizon = cfg.duration_s
-        quorum_cpu = 0.0
-        redundant_cpu = self.redundant_cpu_s
-        pending_cpu = 0.0
-        ok_by_host: Dict[int, int] = {}
-        quorum_cpu_by_host: Dict[int, float] = {}
-        for wu in self.workunits:
-            validated = wu.validated_at is not None
-            qset = (set(self.validator.quorum_hosts(wu.wu_id))
-                    if validated else set())
-            if validated and not qset and wu.degraded_by is not None:
-                # degraded quorum-of-1: the lone accepted result is the
-                # load-bearing one; any other matching returns are
-                # redundant via the branch below
-                qset = {wu.degraded_by}
-            for host_index, cpu in wu.ok_returns:
-                ok_by_host[host_index] = ok_by_host.get(host_index, 0) + 1
-                if host_index in qset:
-                    quorum_cpu += cpu
-                    quorum_cpu_by_host[host_index] = \
-                        quorum_cpu_by_host.get(host_index, 0.0) + cpu
-                elif validated:
-                    # a second matching result landed between quorum
-                    # completion and now: counted but not load-bearing
-                    redundant_cpu += cpu
-                    self._waste_on(host_index, cpu)
-                else:
-                    pending_cpu += cpu
-        lost_cpu = self.lost_upload_cpu_s
-        in_flight_cpu = 0.0
-        for replica in self.replicas:
-            if replica.completed:
-                continue
-            host = self.hosts[replica.host]
-            if replica.compute_done_s is not None:
-                # computed, upload still buffered at the horizon: the
-                # result never lands, so its useful seconds are lost
-                useful = replica.cpu_s - replica.rolled_back_s
-                lost_cpu += useful
-                self._waste_on(replica.host, useful)
-                continue
-            spent = active_seconds(host.sessions, replica.dispatched_s,
-                                   horizon, self._starts_for(replica.host))
-            if replica.crash_wall_s is not None \
-                    and not replica.rollback_counted:
-                # the crash landed in-trace (traces end at the horizon),
-                # so its redone seconds belong to the rollback bucket
-                self._count_rollback(replica)
-                spent -= replica.rolled_back_s
-            if host.departure_s <= horizon:
-                lost_cpu += spent
-                self._waste_on(replica.host, spent)
-            else:
-                in_flight_cpu += spent
-        wasted = (self.erroneous_cpu_s + self.stale_cpu_s + redundant_cpu
-                  + lost_cpu + self.rolled_back_cpu_s)
-        total_cpu = quorum_cpu + wasted + pending_cpu + in_flight_cpu
-        waste_fraction = wasted / total_cpu if total_cpu else 0.0
+def _record_metrics(report: FleetReport, state: Dict[str, Any]) -> None:
+    """Record the ``fleet.*`` instruments of one run from its end state.
 
-        valid = self._n_valid
-        failed = sum(
-            1 for wu in self.workunits
-            if wu.validated_at is None and wu.outstanding == 0
-            and wu.issued >= cfg.max_replicas
-        )
-        in_progress = sum(1 for wu in self.workunits
-                          if wu.validated_at is None and wu.issued > 0) \
-            - failed
-        unsent = sum(1 for wu in self.workunits if wu.issued == 0)
-        makespans = sorted(wu.validated_at for wu in self.workunits
-                           if wu.validated_at is not None)
-        makespan = {
-            "mean": (sum(makespans) / len(makespans)) if makespans else 0.0,
-            "p50": _percentile(makespans, 0.50),
-            "p90": _percentile(makespans, 0.90),
-            "p99": _percentile(makespans, 0.99),
-        }
-        departures = sum(1 for h in self.hosts if h.departure_s <= horizon)
-        session_time = sum(
-            e - s for h in self.hosts for s, e in h.sessions)
-        realized_availability = session_time / (horizon * len(self.hosts))
-
-        per_hv: Dict[str, Dict[str, float]] = {}
-        wasted_cpu_by_host = self._wasted_by_host
-        for host in self.hosts:
-            stats = per_hv.setdefault(host.hypervisor, {
-                "hosts": 0.0, "results_ok": 0.0, "quorum_cpu_s": 0.0,
-                "wasted_cpu_s": 0.0, "waste_fraction": 0.0,
-                "slowdown": fleet_slowdown(host.hypervisor),
-            })
-            stats["hosts"] += 1
-            stats["results_ok"] += ok_by_host.get(host.index, 0)
-            stats["quorum_cpu_s"] += quorum_cpu_by_host.get(host.index, 0.0)
-            stats["wasted_cpu_s"] += wasted_cpu_by_host.get(host.index, 0.0)
-        for stats in per_hv.values():
-            denom = stats["quorum_cpu_s"] + stats["wasted_cpu_s"]
-            stats["waste_fraction"] = \
-                stats["wasted_cpu_s"] / denom if denom else 0.0
-
-        degraded_windows = list(self._degraded_windows)
-        if self._degraded and self._degraded_since is not None:
-            degraded_windows.append((self._degraded_since, horizon))
-        recovery = {
-            "outages": len(self._outages),
-            "outage_s": sum(end - start for start, end in self._outages),
-            "uploads_retried": self.uploads_retried,
-            "uploads_lost": self.uploads_lost,
-            "vm_crashes": self.vm_crashes,
-            "rolled_back_s": self.rolled_back_cpu_s,
-            "degraded_windows": len(degraded_windows),
-            "degraded_s": sum(end - start
-                              for start, end in degraded_windows),
-            "degraded_validated": self.degraded_validated,
-        }
-
-        if METRICS.enabled:
-            METRICS.inc("fleet.hosts", len(self.hosts))
-            METRICS.inc("fleet.workunits", len(self.workunits))
-            METRICS.inc("fleet.departures", departures)
-
-        return FleetReport(
-            config=cfg.to_dict(),
-            hosts=len(self.hosts),
-            workunits=len(self.workunits),
-            duration_s=horizon,
-            valid=valid,
-            failed=failed,
-            in_progress=in_progress,
-            unsent=unsent,
-            replicas_issued=len(self.replicas),
-            results_ok=self.results_ok,
-            results_erroneous=self.results_erroneous,
-            results_stale=self.results_stale,
-            timeouts=self.timeouts,
-            redundant_results=self.redundant_results,
-            departures=departures,
-            dropouts=self.dropouts,
-            throughput_per_hour=valid / (horizon / 3600.0),
-            makespan_s=makespan,
-            cpu_s={
-                "quorum": quorum_cpu,
-                "redundant": redundant_cpu,
-                "erroneous": self.erroneous_cpu_s,
-                "stale": self.stale_cpu_s,
-                "lost": lost_cpu,
-                "rolled_back": self.rolled_back_cpu_s,
-                "pending": pending_cpu,
-                "in_flight": in_flight_cpu,
-                "wasted": wasted,
-                "total": total_cpu,
-            },
-            waste_fraction=waste_fraction,
-            realized_availability=realized_availability,
-            per_hypervisor=per_hv,
-            recovery=recovery,
-        )
+    Each instrument equals what a per-event site in the loop would have
+    recorded (the archived object-model server in
+    ``tests/_reference_fleet.py`` still records them that way, and the
+    snapshots are pinned equal): the counters are the report's tallies,
+    ``rolled_back`` counts the replicas whose crash redid any seconds,
+    ``degraded_entered`` counts degraded windows including one still
+    open at the horizon, and ``need_queue_peak`` is the longest need
+    queue right after a dispatch.  Validation times fold into the
+    makespan timer and histogram in ascending order, which is the order
+    the events validated them.  A counter no event would have touched
+    stays absent; hosts, work units and departures are always recorded.
+    """
+    METRICS.inc("fleet.hosts", report.hosts)
+    METRICS.inc("fleet.workunits", report.workunits)
+    METRICS.inc("fleet.departures", report.departures)
+    recovery = report.recovery
+    for name, count in (
+            ("dispatched", report.replicas_issued),
+            ("timeouts", report.timeouts),
+            ("rolled_back", int(np.count_nonzero(state["r_rb"]))),
+            ("upload_retried", recovery["uploads_retried"]),
+            ("upload_lost", recovery["uploads_lost"]),
+            ("degraded_entered", recovery["degraded_windows"]),
+            ("stale", report.results_stale),
+            ("redundant", report.redundant_results),
+            ("erroneous", report.results_erroneous),
+            ("validated", report.valid),
+            ("degraded_validated", recovery["degraded_validated"])):
+        if count:
+            METRICS.inc(f"fleet.{name}", count)
+    if report.replicas_issued:
+        METRICS.gauge_max("fleet.need_queue_peak", state["need_peak"])
+    makespans = np.sort(state["wu_validated"][(state["wu_state"] & 1) == 1])
+    METRICS.observe_many("fleet.makespan_s", makespans)
+    METRICS.hist_many("fleet.makespan_h", makespans / 3600.0)
 
 
 def simulate_fleet(config: FleetConfig,
@@ -1758,13 +1188,13 @@ def simulate_fleet(config: FleetConfig,
     :data:`repro.fleet.host.MIN_PARALLEL_HOSTS` — small fleets run
     serially because pool dispatch would cost more than it saves.
 
-    Every run builds :class:`~repro.fleet.columns.FleetColumns`
-    (byte-identical to the object build).  Under a fault plan the
+    Every run builds :class:`~repro.fleet.columns.FleetColumns` and
+    runs the one columnar event loop on them, fault-free or under a
+    storm, with metrics on or off.  Under a fault plan the
     ``host.dropout`` site is a pre-pass that clips the CSR traces; the
-    other fleet sites fire inside the event loop.  With metrics off the
-    columnar loop runs fault-free and storm runs alike; an enabled
-    metrics registry (the ``repro fleet``/``repro campaign`` default)
-    moves the run onto the classic object loop.
+    other fleet sites fire inside the event loop.  An enabled metrics
+    registry (the ``repro fleet``/``repro campaign`` default) only adds
+    the ``fleet.*`` instruments, derived from the run's end state.
     """
     columns = build_fleet_columns(config, jobs=jobs)
     dropouts = _apply_host_dropout(columns, config.duration_s) \

@@ -20,6 +20,10 @@ Three instrument kinds, all addressed by dotted string name:
   *distribution* matters (fleet makespans, queue depths); buckets are
   labelled by their upper bound so snapshots merge by simple addition.
 
+``observe_many``/``hist_many`` fold a whole batch at once — for values
+a run only knows at its end (the fleet's validation times) — and leave
+exactly the state the per-value calls would.
+
 The module-level :data:`METRICS` registry is process-global and disabled
 by default; :func:`repro.api.run` enables it for metrics-enabled
 runs.  Persistent pool workers (:mod:`repro.core.workerpool`) re-arm
@@ -33,7 +37,7 @@ counters survive ``--jobs N`` fan-out.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 
 def _hist_bucket_key(item: Tuple[str, float]) -> float:
@@ -140,6 +144,68 @@ class MetricsRegistry:
             label = f"le_{upper:g}"
         buckets = self.hists.setdefault(name, {})
         buckets[label] = buckets.get(label, 0.0) + 1.0
+
+    def observe_many(self, name: str,
+                     ascending_values: Sequence[float]) -> None:
+        """:meth:`observe` each of ``ascending_values`` in order.
+
+        The values must be sorted ascending, so the batch's min and max
+        are its first and last.  The total is the per-value calls' left
+        fold: the last running sum of ``np.cumsum``, whose every element
+        is the previous one plus the next value (builtin ``sum()`` would
+        not do: it compensates float sums on Python >= 3.12).
+        """
+        if not self.enabled or not len(ascending_values):
+            return
+        import numpy as np  # deferred: importing the registry stays light
+
+        values = np.asarray(ascending_values, dtype=np.float64)
+        first, last = float(values[0]), float(values[-1])
+        agg = self.timers.get(name)
+        if agg is None:
+            self.timers[name] = [len(values), float(np.cumsum(values)[-1]),
+                                 first, last]
+        else:
+            agg[0] += len(values)
+            agg[1] = float(np.cumsum(np.insert(values, 0, agg[1]))[-1])
+            if first < agg[2]:
+                agg[2] = first
+            if last > agg[3]:
+                agg[3] = last
+
+    def hist_many(self, name: str, values: Sequence[float]) -> None:
+        """:meth:`hist` each of ``values``, bucketed in bulk.
+
+        ``np.frexp`` gives ``value = m·2**e`` with ``m`` in ``[0.5, 1)``,
+        so ``ceil(log2(value))`` is ``e`` — except at ``m == 0.5`` (an
+        exact power of two, ``e − 1``) and just above it, where
+        ``math.log2`` may round down to ``e − 1``.  Values with ``m``
+        below ``0.5 + 2**-40`` therefore take the per-value
+        ``math.log2`` route, so every bucket matches :meth:`hist`.
+        """
+        if not self.enabled:
+            return
+        import numpy as np  # deferred: importing the registry stays light
+
+        arr = np.asarray(values, dtype=np.float64)
+        if not arr.size:
+            return
+        buckets = self.hists.setdefault(name, {})
+
+        def count(label: str, k: int) -> None:
+            if k:
+                buckets[label] = buckets.get(label, 0.0) + float(k)
+
+        count("underflow", int(np.count_nonzero(arr < 0.0)))
+        count("le_0", int(np.count_nonzero(arr == 0.0)))
+        pos = arr[arr > 0.0]
+        mant, exp = np.frexp(pos)
+        near = mant < 0.5 + 2.0 ** -40
+        if near.any():
+            exp[near] = [math.ceil(math.log2(v)) for v in pos[near].tolist()]
+        exps, counts = np.unique(exp, return_counts=True)
+        for e, k in zip(exps.tolist(), counts.tolist()):
+            count(f"le_{2.0 ** e:g}", k)
 
     # -- reading ---------------------------------------------------------
 

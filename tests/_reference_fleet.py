@@ -9,6 +9,11 @@ assert the live server's ``FleetReport.to_dict()`` is byte-identical.
 Only one deliberate divergence: ``_percentile`` is imported from the
 live module, so the intentional nearest-rank rounding bugfix does not
 confound the equivalence assertions.
+
+The per-host object sampler (``sample_host``, sharded by
+``build_fleet_hosts``) lives here too: the live package builds only
+columns, so this is the object-model oracle of the column build as
+well as of the server.
 """
 
 from __future__ import annotations
@@ -21,10 +26,25 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.faults import FAULTS
 from repro.fleet.calibration import fleet_slowdown
-from repro.fleet.churn import active_seconds, finish_time
+from repro.fleet.churn import (
+    ChurnModel,
+    active_seconds,
+    availability_trace,
+    finish_time,
+)
 from repro.fleet.config import FleetConfig
-from repro.fleet.host import FleetHost, build_fleet_hosts
-from repro.fleet.recovery import outage_windows, rollback_seconds
+from repro.fleet.host import (
+    AVAILABILITY_CEIL,
+    AVAILABILITY_FLOOR,
+    MIN_PARALLEL_HOSTS,
+    FleetHost,
+    host_hypervisor,
+)
+from repro.fleet.recovery import (
+    checkpoint_cost_s,
+    outage_windows,
+    rollback_seconds,
+)
 from repro.fleet.validation import (
     CANONICAL_KEY,
     QuorumValidator,
@@ -32,6 +52,99 @@ from repro.fleet.validation import (
 )
 from repro.obs.metrics import METRICS
 from repro.simcore.rng import RngStreams
+
+#: Hosts per build shard.  Fixed (NOT a function of the worker count) so
+#: shard boundaries — and therefore every sampled trace — are identical
+#: at any ``--jobs`` setting.
+SHARD_SIZE = 128
+
+
+def sample_host(config: FleetConfig, index: int) -> FleetHost:
+    """Deterministically sample host ``index`` of the fleet."""
+    rng = RngStreams(config.seed).fork(f"host-{index}")
+    hypervisor = host_hypervisor(config, index)
+    gflops = config.host_gflops_median * rng.lognormal_factor(
+        "speed", config.host_gflops_sigma)
+    availability = rng.normal("avail", config.availability_mean,
+                              config.availability_spread)
+    availability = min(AVAILABILITY_CEIL,
+                       max(AVAILABILITY_FLOOR, availability))
+    model = ChurnModel(availability=availability,
+                       session_mean_s=config.session_mean_s,
+                       departure_mean_s=config.departure_mean_s)
+    sessions, departure = availability_trace(model, rng.fork("trace"),
+                                             config.duration_s)
+    return FleetHost(
+        index=index, name=f"host-{index:05d}", hypervisor=hypervisor,
+        slowdown=fleet_slowdown(hypervisor) * config.memory_factor(),
+        gflops=gflops,
+        availability=availability, error_rate=config.error_rate,
+        sessions=sessions, departure_s=departure,
+        checkpoint_cost_s=checkpoint_cost_s(hypervisor, gflops),
+    )
+
+
+def host_shards(n_hosts: int) -> List[Tuple[int, int]]:
+    """Fixed-size ``[start, stop)`` index ranges covering the fleet."""
+    return [(start, min(start + SHARD_SIZE, n_hosts))
+            for start in range(0, n_hosts, SHARD_SIZE)]
+
+
+def _build_shard(task: Tuple[Dict[str, Any], int, int]
+                 ) -> List[Dict[str, Any]]:
+    """Worker body: sample hosts ``[start, stop)`` as plain dicts.
+
+    Module-level (and dict-in/dict-out) so it pickles across the
+    process pool; the parent rebuilds :class:`FleetHost` records.
+    """
+    payload, start, stop = task
+    config = FleetConfig.from_dict(payload)
+    out = [sample_host(config, index).to_dict()
+           for index in range(start, stop)]
+    if METRICS.enabled:
+        METRICS.inc("fleet.hosts_built", stop - start)
+    return out
+
+
+def _host_from_dict(payload: Dict[str, Any]) -> FleetHost:
+    return FleetHost(
+        index=payload["index"], name=payload["name"],
+        hypervisor=payload["hypervisor"], slowdown=payload["slowdown"],
+        gflops=payload["gflops"], availability=payload["availability"],
+        error_rate=payload["error_rate"],
+        sessions=[(s, e) for s, e in payload["sessions"]],
+        departure_s=payload["departure_s"],
+        checkpoint_cost_s=payload.get("checkpoint_cost_s", 0.0),
+    )
+
+
+def build_fleet_hosts(config: FleetConfig,
+                      jobs: Optional[int] = None) -> List[FleetHost]:
+    """Sample the whole fleet, sharding big builds across workers.
+
+    Worker-count policy follows :func:`repro.core.parallel.resolve_jobs`
+    (explicit ``jobs``, else the activated RunConfig, else every
+    schedulable core); the merged host list is bit-identical to the
+    serial build because shards are fixed index ranges and every host
+    seeds only from its own index.  Fleets below
+    :data:`MIN_PARALLEL_HOSTS` skip the pool entirely (recorded as
+    ``parallel.fallback_serial`` in METRICS).
+    """
+    from repro.core.parallel import map_shards
+
+    payload = config.to_dict()
+    tasks = [(payload, start, stop)
+             for start, stop in host_shards(config.hosts)]
+    if config.hosts < MIN_PARALLEL_HOSTS:
+        if METRICS.enabled:
+            METRICS.inc("parallel.fallback_serial")
+        shard_results = [_build_shard(task) for task in tasks]
+    else:
+        shard_results = map_shards(_build_shard, tasks, jobs=jobs)
+    hosts = [_host_from_dict(item)
+             for shard in shard_results for item in shard]
+    return hosts
+
 
 # event kinds (ints so heap tuples compare cheaply and deterministically)
 _REQUEST = 0

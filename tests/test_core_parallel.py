@@ -213,8 +213,9 @@ class TestSerialFallback:
             METRICS.reset()
 
     def test_small_fleet_builds_serially(self):
+        from repro.fleet.columns import build_fleet_columns
         from repro.fleet.config import FleetConfig
-        from repro.fleet.host import MIN_PARALLEL_HOSTS, build_fleet_hosts
+        from repro.fleet.host import MIN_PARALLEL_HOSTS
         from repro.obs.metrics import METRICS
 
         config = FleetConfig(hosts=MIN_PARALLEL_HOSTS - 1,
@@ -222,7 +223,7 @@ class TestSerialFallback:
                              duration_s=3600.0)
         METRICS.enable(reset=True)
         try:
-            hosts = build_fleet_hosts(config, jobs=4)
+            hosts = build_fleet_columns(config, jobs=4).views()
             assert METRICS.counter("parallel.fallback_serial") == 1
         finally:
             METRICS.disable()
@@ -230,7 +231,7 @@ class TestSerialFallback:
         assert len(hosts) == MIN_PARALLEL_HOSTS - 1
         # identical output either way: the fallback is wall-clock only
         assert [h.to_dict() for h in hosts] == \
-            [h.to_dict() for h in build_fleet_hosts(config, jobs=1)]
+            [h.to_dict() for h in build_fleet_columns(config, jobs=1).views()]
 
 
 class TestRepeatDispatch:

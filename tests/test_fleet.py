@@ -9,12 +9,11 @@ from repro.errors import ExperimentError
 from repro.fleet import (
     FleetConfig,
     QuorumValidator,
-    build_fleet_hosts,
+    build_fleet_columns,
     estimated_grid_efficiency,
     fleet_slowdown,
     fleet_slowdowns,
     resolve_hypervisor,
-    sample_host,
     simulate_fleet,
 )
 from repro.fleet.churn import (
@@ -138,9 +137,10 @@ class TestMemoryAxes:
             FleetConfig(overcommit_ratio=3.5)
 
     def test_memory_fields_slow_sampled_hosts(self):
-        base = sample_host(FleetConfig(seed=3), 0)
-        loaded = sample_host(
-            FleetConfig(seed=3, vms_per_host=4, overcommit_ratio=1.5), 0)
+        base = build_fleet_columns(FleetConfig(seed=3, hosts=2)).host_view(0)
+        loaded = build_fleet_columns(
+            FleetConfig(seed=3, hosts=2, vms_per_host=4,
+                        overcommit_ratio=1.5)).host_view(0)
         assert loaded.slowdown > base.slowdown
         assert loaded.gflops == base.gflops  # only the slowdown moves
 
@@ -188,8 +188,8 @@ class TestDeterminism:
         assert canonical(serial) == canonical(parallel)
 
     def test_host_build_identical_across_jobs(self):
-        a = build_fleet_hosts(SMALL, jobs=1)
-        b = build_fleet_hosts(SMALL, jobs=3)
+        a = build_fleet_columns(SMALL, jobs=1).views()
+        b = build_fleet_columns(SMALL, jobs=3).views()
         assert [h.to_dict() for h in a] == [h.to_dict() for h in b]
 
     def test_different_seeds_differ(self):

@@ -12,11 +12,11 @@ streams it must reproduce bit for bit.
 import numpy as np
 import pytest
 
+import tests._reference_fleet as ref
 from repro.fleet import (
     COLUMN_SHARD_SIZE,
     FleetConfig,
     build_fleet_columns,
-    build_fleet_hosts,
     column_shards,
 )
 from repro.fleet.fastrng import VecPcg, fork_seed
@@ -28,7 +28,7 @@ MIXED = FleetConfig(hosts=220, hypervisor="mixed", seed=13,
 
 def assert_columns_match_hosts(config):
     cols = build_fleet_columns(config, jobs=1)
-    hosts = build_fleet_hosts(config, jobs=1)
+    hosts = ref.build_fleet_hosts(config, jobs=1)
     assert len(cols) == len(hosts) == config.hosts
     for host, view in zip(hosts, cols.views()):
         assert view.index == host.index

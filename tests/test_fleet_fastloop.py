@@ -5,9 +5,10 @@ Pins the contracts the columnar rewrite rides on:
 * ``_percentile`` nearest-rank rounding is parity-stable (the
   half-up fix — ``round``'s banker's rounding flipped the p50 between
   the lower and upper middle sample depending on count parity);
-* the classic loop with the post-completion re-poll gate is still
-  byte-identical to the archived pre-change server
-  (:mod:`tests._reference_fleet`);
+* a metrics-on run takes the same event loop and is still
+  byte-identical to the archived object-model server
+  (:mod:`tests._reference_fleet`), and the ``fleet.*`` instruments it
+  derives from the end state equal the oracle's per-event ones;
 * the compiled C event kernel and the pure-Python fallback produce the
   same canonical flat state — fault-free and under a storm, with the
   kernel's SHA-256 fault draws and its lazy per-host serve draws pinned
@@ -16,8 +17,9 @@ Pins the contracts the columnar rewrite rides on:
   :meth:`FleetReport.to_dict` byte for byte;
 * a kernel library that lacks an entry point degrades to the Python
   fallback instead of crashing the run;
-* a metrics-off storm never falls back to the classic object loop, and
-  its bulk fault tallies equal the classic loop's one-by-one ones.
+* no run builds ``FleetHost`` objects, metrics on or off, and a storm's
+  bulk fault tallies equal the oracle's one-by-one ones;
+* a server handed a host list instead of columns says how to build them.
 """
 
 import json
@@ -36,7 +38,6 @@ from repro.fleet import (
     FleetHost,
     FleetServer,
     build_fleet_columns,
-    build_fleet_hosts,
     simulate_fleet,
 )
 from repro.fleet import cloop
@@ -102,6 +103,22 @@ def canonical(payload):
     return json.dumps(payload, sort_keys=True)
 
 
+def with_metrics(run):
+    """``run()`` under a fresh enabled registry; its result and the
+    ``fleet.*`` part of the snapshot, canonical JSON."""
+    METRICS.enable(reset=True)
+    try:
+        result = run()
+        snap = METRICS.snapshot()
+    finally:
+        METRICS.disable()
+        METRICS.reset()
+    fleet = {kind: {name: value for name, value in items.items()
+                    if name.startswith("fleet.")}
+             for kind, items in snap.items()}
+    return result, canonical(fleet)
+
+
 class TestPercentileRounding:
     def test_empty_is_zero(self):
         assert _percentile([], 0.5) == 0.0
@@ -136,13 +153,50 @@ class TestPercentileRounding:
 
 
 class TestClassicMatchesOracle:
-    """The re-poll gate (and the other hot-path fixes) change no bytes."""
+    """An enabled metrics registry, which used to select the object
+    loop, runs the same event loop and changes no bytes."""
 
     @pytest.mark.parametrize("config", CONFIGS)
     def test_classic_object_path_byte_identical(self, config):
-        hosts = build_fleet_hosts(config, jobs=1)
-        live = FleetServer(config, hosts).run().to_dict()
-        assert canonical(live) == canonical(oracle_dict(config))
+        report, _ = with_metrics(lambda: simulate_fleet(config, jobs=1))
+        assert canonical(report.to_dict()) == canonical(oracle_dict(config))
+
+
+class TestMetricsFromEndState:
+    """The ``fleet.*`` instruments derived from the flat end state equal
+    the ones the oracle records event by event: counters, the need-queue
+    gauge, the makespan timer and histogram."""
+
+    @pytest.mark.parametrize(
+        "config,storm",
+        [(c, None) for c in CONFIGS] + [(BAD_LOCK, None)]
+        + [(c, STORM) for c in STORM_CASES],
+        ids=[f"config{i}" for i in range(len(CONFIGS))] + ["bad_lock"]
+        + [f"storm{i}" for i in range(len(STORM_CASES))])
+    @pytest.mark.parametrize("kernel", [True, False], ids=["c", "python"])
+    def test_fleet_snapshot_equals_oracle(self, config, storm, kernel):
+        def run(simulate):
+            with injected(parse_fault_spec(storm or "seed=0")):
+                return simulate(config, jobs=1)
+
+        expected_report, expected = with_metrics(
+            lambda: run(ref.simulate_fleet))
+        with mock.patch.object(
+                server_module, "_c_event_loop",
+                run_event_loop if kernel else (lambda prep: None)), \
+                mock.patch.object(
+                    server_module, "_c_report_folds",
+                    report_folds if kernel else (lambda prep, state: None)):
+            report, got = with_metrics(lambda: run(simulate_fleet))
+        assert got == expected
+        assert canonical(report.to_dict()) == \
+            canonical(expected_report.to_dict())
+        snap = json.loads(got)
+        assert snap["gauges"]["fleet.need_queue_peak"] > 0
+        assert snap["timers"]["fleet.makespan_s"]["count"] \
+            == report.valid > 0
+        if storm:
+            assert snap["counters"]["fleet.rolled_back"] > 0
 
 
 class TestFastMatchesOracle:
@@ -303,25 +357,23 @@ class TestStormsStayColumnar:
 
     def test_metrics_off_storm_never_enters_the_classic_loop(self):
         def forbidden(*args, **kwargs):
-            raise AssertionError("storm fell back to the classic loop")
+            raise AssertionError("the run built a FleetHost object")
 
-        guards = (mock.patch.object(FleetHost, "__init__", forbidden),
-                  mock.patch.object(FleetServer, "_init_classic_state",
-                                    forbidden),
-                  mock.patch.object(FleetServer, "_report", forbidden))
-        with injected(parse_fault_spec(STORM)):
-            with guards[0], guards[1], guards[2]:
-                report = simulate_fleet(self.CONFIG, jobs=1)
-            assert report.recovery["vm_crashes"] > 0
-            assert report.dropouts > 0
-            # the guards do bite: metrics on is the classic loop's caller
-            METRICS.enable(reset=True)
-            try:
-                with guards[0], guards[1], guards[2], \
-                        pytest.raises(AssertionError, match="classic"):
-                    simulate_fleet(self.CONFIG, jobs=1)
-            finally:
-                METRICS.disable()
+        def storm_run():
+            with injected(parse_fault_spec(STORM)):
+                return simulate_fleet(self.CONFIG, jobs=1)
+
+        guard = mock.patch.object(FleetHost, "__init__", forbidden)
+        with guard:
+            off = storm_run()
+            on, _ = with_metrics(storm_run)
+        assert off.recovery["vm_crashes"] > 0
+        assert off.dropouts > 0
+        assert canonical(on.to_dict()) == canonical(off.to_dict())
+        # the guard does bite: a host view is a FleetHost
+        columns = build_fleet_columns(self.CONFIG, jobs=1)
+        with guard, pytest.raises(AssertionError, match="FleetHost"):
+            columns.views()[0]
 
     def test_bulk_fault_tally_matches_the_classic_loop(self, tmp_path):
         RUNLOG.clear()
@@ -333,14 +385,14 @@ class TestStormsStayColumnar:
             "host.dropout", "net.partition", "server.outage", "vm.crash"]
 
         RUNLOG.clear()
-        METRICS.enable(reset=True)
-        try:
-            with injected(parse_fault_spec(STORM)) as classic_plan:
-                classic = simulate_fleet(self.CONFIG, jobs=1)
-        finally:
-            METRICS.disable()
-        assert fast.to_dict() == classic.to_dict()
-        assert fast_plan.injected == classic_plan.injected
+
+        def oracle_run():
+            with injected(parse_fault_spec(STORM)) as plan:
+                return ref.simulate_fleet(self.CONFIG, jobs=1), plan
+
+        (oracle, oracle_plan), _ = with_metrics(oracle_run)
+        assert fast.to_dict() == oracle.to_dict()
+        assert fast_plan.injected == oracle_plan.injected
         assert fast_runlog == RUNLOG.injected
 
         result = api.run(api.RunRequest(
@@ -353,3 +405,14 @@ class TestStormsStayColumnar:
         assert manifest["faults"] == fast_section
         assert not FAULTS.enabled
         RUNLOG.clear()
+
+
+class TestServerInput:
+    def test_host_list_is_rejected_with_a_pointer_to_columns(self):
+        config = CONFIGS[1]
+        hosts = ref.build_fleet_hosts(config, jobs=1)
+        with pytest.raises(TypeError, match="build_fleet_columns"):
+            FleetServer(config, hosts)
+        # the columns of the same fleet are accepted
+        report = FleetServer(config, build_fleet_columns(config)).run()
+        assert canonical(report.to_dict()) == canonical(oracle_dict(config))

@@ -1,5 +1,8 @@
 """The metrics registry and its instrumentation sites."""
 
+import math
+import random
+
 import pytest
 
 from repro.obs.metrics import METRICS, MetricsRegistry
@@ -130,6 +133,78 @@ class TestHist:
         new.merge(old.snapshot())
         assert new.hist_buckets("h") == {
             "underflow": 1.0, "le_0": 1.0, "le_1": 2.0}
+
+
+def _per_call(values):
+    reg = MetricsRegistry(enabled=True)
+    for value in values:
+        reg.observe("t", value)
+        reg.hist("h", value)
+    return reg
+
+
+def _bulk(values):
+    reg = MetricsRegistry(enabled=True)
+    reg.observe_many("t", sorted(values))
+    reg.hist_many("h", values)
+    return reg
+
+
+class TestBulkFolds:
+    """``observe_many``/``hist_many`` leave the per-call state exactly."""
+
+    @staticmethod
+    def edge_values():
+        values = [0.0, 0.0, -0.5, -3.0, 1e-310]
+        for k in range(-60, 61, 3):
+            p = 2.0 ** k
+            values += [p, math.nextafter(p, 0.0), math.nextafter(p, 2 * p)]
+        values += [0.1 * i for i in range(1, 400)]
+        return values
+
+    def test_edges_match_per_call_replay(self):
+        values = self.edge_values()
+        assert _bulk(values).snapshot() == _per_call(sorted(values)).snapshot()
+
+    def test_powers_of_two_and_their_neighbours(self):
+        reg = MetricsRegistry(enabled=True)
+        reg.hist_many("h", [4.0, math.nextafter(4.0, 0.0),
+                            math.nextafter(4.0, 8.0)])
+        assert reg.hist_buckets("h") == {"le_4": 2.0, "le_8": 1.0}
+
+    def test_random_makespans_match_per_call_replay(self):
+        rng = random.Random(5)
+        values = [rng.uniform(0.0, 86400.0) / 3600.0 for _ in range(5000)]
+        assert _bulk(values).snapshot() == _per_call(sorted(values)).snapshot()
+
+    def test_empty_input_creates_nothing(self):
+        reg = _bulk([])
+        assert reg.timers == {} and reg.hists == {}
+        assert reg.snapshot() == _per_call([]).snapshot()
+
+    def test_disabled_registry_untouched(self):
+        reg = MetricsRegistry()
+        reg.observe_many("t", [1.0, 2.0])
+        reg.hist_many("h", [1.0, 2.0])
+        assert reg.timers == {} and reg.hists == {}
+
+    def test_second_batch_folds_into_the_first(self):
+        first, second = [0.5, 2.0, 9.0], [-1.0, 0.25, 3.0, 40.0]
+        bulk = MetricsRegistry(enabled=True)
+        for batch in (first, second):
+            bulk.observe_many("t", batch)
+            bulk.hist_many("h", batch)
+        assert bulk.snapshot() == _per_call(first + second).snapshot()
+
+    def test_merged_snapshots_match_per_call(self):
+        a, b = [0.0, 1.5, 7.0], [-2.0, 2.0 ** 10, 0.3]
+        bulk = MetricsRegistry(enabled=True)
+        bulk.merge(_bulk(a).snapshot())
+        bulk.merge(_bulk(b).snapshot())
+        per_call = MetricsRegistry(enabled=True)
+        per_call.merge(_per_call(sorted(a)).snapshot())
+        per_call.merge(_per_call(sorted(b)).snapshot())
+        assert bulk.snapshot() == per_call.snapshot()
 
 
 class TestEngineCounters:
