@@ -32,10 +32,20 @@
  * folds of the report (`repro.fleet.server._report_folds`) over the flat
  * state the loop leaves behind.
  *
+ * The third, fleet_build, builds the host columns the loop reads: the C
+ * port of `repro.fleet.columns._sample_shard_columns` — per host the three
+ * seed forks (one-block SHA-256), the SeedSequence pool mix and PCG64
+ * seeding of six named streams, ziggurat normal/exponential draws (the
+ * tables are passed in; tail and wedge draws use libm log1p/exp exactly
+ * as repro.fleet.fastrng does) and the alternating-renewal churn trace,
+ * written straight into the CSR session arrays.  It pauses with
+ * ST_GROW_SESS, before committing a host, when those arrays are full.
+ *
  * Every struct field is 8 bytes wide (int64/double/pointer) so the
  * layouts match the ctypes.Structures in cloop.py with no padding.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -44,6 +54,7 @@
 #define ST_GROW_NEED 2
 #define ST_GROW_REP 3
 #define ST_GROW_RET 4
+#define ST_GROW_SESS 5
 
 #define K_REQUEST 0
 #define K_DEADLINE 1
@@ -71,9 +82,9 @@ static void mul64(uint64_t a, uint64_t b, uint64_t *hi, uint64_t *lo)
     *hi = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
 }
 
-/* step one lane (st/inc = {lo, hi}) and return its next double:
- * state = state * MULT + inc (mod 2^128), XSL-RR, then (x >> 11) * 2^-53 */
-static double pcg_double(uint64_t *st, const uint64_t *inc)
+/* step one lane (st/inc = {lo, hi}) and return its XSL-RR output:
+ * state = state * MULT + inc (mod 2^128) */
+static uint64_t pcg_next64(uint64_t *st, const uint64_t *inc)
 {
     uint64_t hi, lo;
     mul64(st[0], PCG_MULT_LO, &hi, &lo);
@@ -84,8 +95,14 @@ static double pcg_double(uint64_t *st, const uint64_t *inc)
     st[1] = hi;
     uint64_t v = hi ^ lo;
     unsigned rot = (unsigned)(hi >> 58);
-    v = (v >> rot) | (v << ((64 - rot) & 63));
-    return (double)(v >> 11) * (1.0 / 9007199254740992.0);
+    return (v >> rot) | (v << ((64 - rot) & 63));
+}
+
+/* the lane's next double: (x >> 11) * 2^-53 */
+static double pcg_double(uint64_t *st, const uint64_t *inc)
+{
+    return (double)(pcg_next64(st, inc) >> 11)
+        * (1.0 / 9007199254740992.0);
 }
 
 /* `draws` doubles from each of n lanes, lane-major (out[i * draws + k]),
@@ -149,13 +166,14 @@ static void sha256_block(uint32_t *h, const uint8_t *p)
     h[4] += e; h[5] += f; h[6] += g; h[7] += k;
 }
 
+static const uint32_t SHA256_IV[8] = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+};
+
 static void sha256_init(Sha256 *s)
 {
-    static const uint32_t iv[8] = {
-        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-        0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
-    };
-    memcpy(s->h, iv, sizeof iv);
+    memcpy(s->h, SHA256_IV, sizeof SHA256_IV);
     s->len = 0;
 }
 
@@ -169,7 +187,18 @@ static void sha256_update(Sha256 *s, const uint8_t *p, int64_t n)
     }
 }
 
-/* first 8 digest bytes, little-endian (Python's int.from_bytes(.., "little")) */
+static uint32_t bswap32(uint32_t x)
+{
+    return x >> 24 | (x >> 8 & 0xff00u) | (x << 8 & 0xff0000u) | x << 24;
+}
+
+/* first 8 digest bytes, little-endian (Python's int.from_bytes(.., "little")):
+ * the digest is h[0], h[1] big-endian, so the word is their byte swaps */
+static uint64_t digest_word(const uint32_t *h)
+{
+    return (uint64_t)bswap32(h[1]) << 32 | bswap32(h[0]);
+}
+
 static uint64_t sha256_word(Sha256 *s)
 {
     uint64_t bits = s->len * 8;
@@ -182,32 +211,47 @@ static uint64_t sha256_word(Sha256 *s)
     for (int i = 0; i < 8; i++)
         lenbe[i] = (uint8_t)(bits >> (56 - 8 * i));
     sha256_update(s, lenbe, 8);
-    uint8_t digest[8];
-    for (int i = 0; i < 2; i++) {
-        digest[4 * i] = (uint8_t)(s->h[i] >> 24);
-        digest[4 * i + 1] = (uint8_t)(s->h[i] >> 16);
-        digest[4 * i + 2] = (uint8_t)(s->h[i] >> 8);
-        digest[4 * i + 3] = (uint8_t)s->h[i];
-    }
-    uint64_t word = 0;
-    for (int i = 7; i >= 0; i--)
-        word = word << 8 | digest[i];
-    return word;
+    return digest_word(s->h);
+}
+
+/* digest_word of a message of at most 55 bytes: one padded block */
+static uint64_t sha256_short(const uint8_t *msg, int64_t len)
+{
+    uint8_t block[64];
+    uint32_t h[8];
+    memcpy(block, msg, (size_t)len);
+    block[len] = 0x80;
+    memset(block + len + 1, 0, (size_t)(55 - len));
+    uint64_t bits = (uint64_t)len * 8;
+    for (int i = 0; i < 8; i++)
+        block[56 + i] = (uint8_t)(bits >> (56 - 8 * i));
+    memcpy(h, SHA256_IV, sizeof SHA256_IV);
+    sha256_block(h, block);
+    return digest_word(h);
+}
+
+/* the decimal digits of u (Python's str(u)), returning their count */
+static int fmt_u64(uint8_t *out, uint64_t u)
+{
+    uint8_t tmp[20];
+    int n = 0;
+    do {
+        tmp[n++] = (uint8_t)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    for (int i = 0; i < n; i++)
+        out[i] = tmp[n - 1 - i];
+    return n;
 }
 
 static void put_int(Sha256 *s, int64_t v)
 {
-    char tmp[24];
-    int n = 0;
-    uint64_t u = v < 0 ? (uint64_t)0 - (uint64_t)v : (uint64_t)v;
-    do {
-        tmp[n++] = (char)('0' + u % 10);
-        u /= 10;
-    } while (u);
+    static const uint8_t minus = '-';
+    uint8_t digits[20];
     if (v < 0)
-        tmp[n++] = '-';
-    for (int i = n - 1; i >= 0; i--)
-        sha256_update(s, (const uint8_t *)&tmp[i], 1);
+        sha256_update(s, &minus, 1);
+    uint64_t u = v < 0 ? (uint64_t)0 - (uint64_t)v : (uint64_t)v;
+    sha256_update(s, digits, fmt_u64(digits, u));
 }
 
 /* repro.faults.plan._draw: uniform [0, 1) from
@@ -895,5 +939,237 @@ void fleet_report(ReportCtx *r)
     for (int64_t h = 0; h < r->n; h++) {
         r->qc_sum[r->hv_code[h]] += r->quorum_by_host[h];
         r->w_sum[r->hv_code[h]] += r->waste[h];
+    }
+}
+
+/* ---- the host column build -------------------------------------------- */
+
+/* SeedSequence's entropy-pool constants (numpy's Doty-Humphrey hashes) */
+#define SS_XSHIFT 16
+#define SS_INIT_A 0x43b0d7e5u
+#define SS_MULT_A 0x931e8875u
+#define SS_INIT_B 0x8b51f9ddu
+#define SS_MULT_B 0x58f38dedu
+#define SS_MIX_L 0xca01f9ddu
+#define SS_MIX_R 0x4973f715u
+
+/* a host's named streams, in the order of BuildCtx.spawn */
+enum { S_SPEED, S_AVAIL, S_DEPART, S_PHASE, S_ON, S_OFF, N_STREAMS };
+
+typedef struct {
+    /* hosts [next, n) remain to build; sessions [0, n_sess) are written */
+    int64_t n, next, n_sess, sess_cap;
+    int64_t draw_speed;             /* host_gflops_sigma != 0 */
+    double horizon, session_mean, departure_mean;
+    double avail_mean, avail_spread, avail_floor, avail_ceil;
+    /* "{seed}/host-": the host index is appended to fork each host */
+    const uint8_t *prefix;
+    int64_t plen;
+    /* spawn-key words of the named streams, N_STREAMS x 4 */
+    const uint32_t *spawn;
+    /* ziggurat tables and constants (repro.fleet._zigdata) */
+    const uint64_t *ki_nor, *ke_exp;
+    const double *wi_nor, *fi_nor, *we_exp, *fe_exp;
+    double nor_r, nor_inv_r, exp_r;
+    /* per-host outputs; speed_z is written only when draw_speed */
+    double *speed_z, *avail, *departure;
+    uint64_t *serve_seed;
+    int64_t *s_cnt;
+    /* flat sessions, host after host (growable) */
+    double *s_starts, *s_ends;
+} BuildCtx;
+
+typedef struct {
+    uint64_t st[2], inc[2];         /* {lo, hi} */
+} Pcg;
+
+static uint32_t ss_hashmix(uint32_t value, uint32_t *hc)
+{
+    value ^= *hc;
+    *hc *= SS_MULT_A;
+    value *= *hc;
+    return value ^ (value >> SS_XSHIFT);
+}
+
+static uint32_t ss_mix(uint32_t x, uint32_t y)
+{
+    uint32_t res = x * SS_MIX_L - y * SS_MIX_R;
+    return res ^ (res >> SS_XSHIFT);
+}
+
+/* the entropy half of the pool mix: run entropy (lo, hi, 0, 0) hashed in,
+ * then mixed pairwise — shared by every stream seeded from one entropy */
+static void ss_pool(uint64_t entropy, uint32_t pool[4])
+{
+    const uint32_t words[4] = {(uint32_t)entropy, (uint32_t)(entropy >> 32),
+                               0, 0};
+    uint32_t hc = SS_INIT_A;
+    for (int i = 0; i < 4; i++)
+        pool[i] = ss_hashmix(words[i], &hc);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = ss_mix(pool[dst], ss_hashmix(pool[src], &hc));
+}
+
+/* the spawn-key half's hashes: data-independent, so once per stream name */
+static void ss_spawn_hashes(const uint32_t *spawn, uint32_t hashed[16])
+{
+    uint32_t hc = SS_INIT_A;
+    for (int i = 0; i < 16; i++)    /* past the entropy half's 16 hashes */
+        hc *= SS_MULT_A;
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            hashed[4 * src + dst] = ss_hashmix(spawn[src], &hc);
+}
+
+/* RngStreams(entropy).stream(name) as one PCG64 lane: finish the pool mix,
+ * generate_state(4, uint64), then numpy's pcg64 seeding
+ * state = (inc + seed) * MULT + inc with inc = (w2:w3) << 1 | 1, seed = w0:w1 */
+static void pcg_seed(Pcg *p, const uint32_t entropy_pool[4],
+                     const uint32_t hashed[16])
+{
+    uint32_t pool[4];
+    memcpy(pool, entropy_pool, sizeof pool);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            pool[dst] = ss_mix(pool[dst], hashed[4 * src + dst]);
+    uint32_t hc = SS_INIT_B, out[8];
+    for (int i = 0; i < 8; i++) {
+        uint32_t v = pool[i % 4] ^ hc;
+        hc *= SS_MULT_B;
+        v *= hc;
+        out[i] = v ^ (v >> SS_XSHIFT);
+    }
+    uint64_t w[4];
+    for (int i = 0; i < 4; i++)
+        w[i] = (uint64_t)out[2 * i] | (uint64_t)out[2 * i + 1] << 32;
+    p->inc[0] = w[3] << 1 | 1;
+    p->inc[1] = w[2] << 1 | w[3] >> 63;
+    p->st[0] = w[1] + p->inc[0];
+    p->st[1] = w[0] + p->inc[1] + (p->st[0] < w[1]);
+    pcg_next64(p->st, p->inc);
+}
+
+/* numpy's random_standard_normal (repro.fleet.fastrng.ScalarPcg.std_normal
+ * and _normal_unlikely), including the tail sign from bit 8 of rabs */
+static double zig_normal(const BuildCtx *c, Pcg *p)
+{
+    for (;;) {
+        uint64_t r = pcg_next64(p->st, p->inc);
+        int idx = (int)(r & 0xff);
+        r >>= 8;
+        int sign = (int)(r & 1);
+        uint64_t rabs = (r >> 1) & 0xfffffffffffffULL;
+        double x = (double)rabs * c->wi_nor[idx];
+        if (rabs < c->ki_nor[idx])
+            return sign ? -x : x;
+        if (idx == 0) {
+            double xx, yy;
+            do {
+                xx = -c->nor_inv_r * log1p(-pcg_double(p->st, p->inc));
+                yy = -log1p(-pcg_double(p->st, p->inc));
+            } while (!(yy + yy > xx * xx));
+            return (rabs >> 8) & 1 ? -(c->nor_r + xx) : c->nor_r + xx;
+        }
+        if ((c->fi_nor[idx - 1] - c->fi_nor[idx]) * pcg_double(p->st, p->inc)
+            + c->fi_nor[idx] < exp(-0.5 * x * x))
+            return sign ? -x : x;
+        /* wedge rejection: redraw */
+    }
+}
+
+/* numpy's random_standard_exponential (ScalarPcg.std_exp, _exp_unlikely) */
+static double zig_exp(const BuildCtx *c, Pcg *p)
+{
+    for (;;) {
+        uint64_t ri = pcg_next64(p->st, p->inc) >> 3;
+        int idx = (int)(ri & 0xff);
+        ri >>= 8;
+        double x = (double)ri * c->we_exp[idx];
+        if (ri < c->ke_exp[idx])
+            return x;
+        if (idx == 0)
+            return c->exp_r - log1p(-pcg_double(p->st, p->inc));
+        if ((c->fe_exp[idx - 1] - c->fe_exp[idx]) * pcg_double(p->st, p->inc)
+            + c->fe_exp[idx] < exp(-x))
+            return x;
+    }
+}
+
+/* repro.fleet.columns._sample_shard_columns over hosts [next, n), host by
+ * host: the seed forks, the speed/avail draws and the alternating-renewal
+ * churn trace.  A host whose sessions would overflow pauses the build
+ * before it commits; after the grow it is rebuilt from its seeds. */
+int fleet_build(BuildCtx *c)
+{
+    uint32_t hashed[N_STREAMS][16];
+    for (int k = 0; k < N_STREAMS; k++)
+        ss_spawn_hashes(c->spawn + 4 * k, hashed[k]);
+    uint8_t host_msg[64], fork_msg[64];
+    memcpy(host_msg, c->prefix, (size_t)c->plen);
+    for (; c->next < c->n; c->next++) {
+        int64_t i = c->next;
+        uint64_t child = sha256_short(
+            host_msg, c->plen + fmt_u64(host_msg + c->plen, (uint64_t)i));
+        int len = fmt_u64(fork_msg, child);
+        memcpy(fork_msg + len, "/trace", 6);
+        uint64_t trace = sha256_short(fork_msg, len + 6);
+        memcpy(fork_msg + len, "/serve", 6);
+        c->serve_seed[i] = sha256_short(fork_msg, len + 6);
+
+        uint32_t pool[4];
+        Pcg p, on, off;
+        ss_pool(child, pool);
+        if (c->draw_speed) {
+            pcg_seed(&p, pool, hashed[S_SPEED]);
+            c->speed_z[i] = zig_normal(c, &p);
+        }
+        pcg_seed(&p, pool, hashed[S_AVAIL]);
+        double avail = c->avail_mean + c->avail_spread * zig_normal(c, &p);
+        avail = c->avail_floor > avail ? c->avail_floor : avail;
+        avail = c->avail_ceil < avail ? c->avail_ceil : avail;
+        c->avail[i] = avail;
+
+        ss_pool(trace, pool);
+        pcg_seed(&p, pool, hashed[S_DEPART]);
+        double departure = zig_exp(c, &p) * c->departure_mean;
+        c->departure[i] = departure;
+        double eow = c->horizon < departure ? c->horizon : departure;
+        pcg_seed(&p, pool, hashed[S_PHASE]);
+        int up = pcg_double(p.st, p.inc) < avail;
+        double off_mean = c->session_mean * (1.0 - avail) / avail;
+        pcg_seed(&on, pool, hashed[S_ON]);
+        pcg_seed(&off, pool, hashed[S_OFF]);
+        double t = up ? 0.0 : zig_exp(c, &off) * off_mean;
+        int64_t k = c->n_sess;
+        while (t < eow) {
+            if (k == c->sess_cap)
+                return ST_GROW_SESS;
+            double t_next = t + zig_exp(c, &on) * c->session_mean;
+            c->s_starts[k] = t;
+            c->s_ends[k] = t_next < eow ? t_next : eow;
+            k++;
+            t = t_next + zig_exp(c, &off) * off_mean;
+        }
+        c->s_cnt[i] = k - c->n_sess;
+        c->n_sess = k;
+    }
+    return ST_DONE;
+}
+
+/* one draw per entropy lane from the stream named by c->spawn[0..3]:
+ * normal (normal != 0) or exponential — the test hook that pins
+ * fleet_build's seeding and ziggurat samplers over many lanes */
+void zig_draws(const BuildCtx *c, const uint64_t *entropy, int64_t n,
+               int64_t normal, double *out)
+{
+    uint32_t hashed[16], pool[4];
+    Pcg p;
+    ss_spawn_hashes(c->spawn, hashed);
+    for (int64_t i = 0; i < n; i++) {
+        ss_pool(entropy[i], pool);
+        pcg_seed(&p, pool, hashed);
+        out[i] = normal ? zig_normal(c, &p) : zig_exp(c, &p);
     }
 }

@@ -1,14 +1,15 @@
-"""Compile-on-first-use ctypes driver for the fleet event kernel.
+"""Compile-on-first-use ctypes driver for the fleet kernels.
 
 The hot event loop of the columnar fleet path lives in ``_cloop.c``, a
 straight transliteration of ``FleetServer._fast_loop_python``.  This
 module compiles it with the system C compiler on first use (cached in
-the temp directory, keyed by a hash of the source, the compiler path
-and the flags), loads it through :mod:`ctypes`, and drives the
-pause/resume protocol: the kernel returns to Python whenever a growable
-buffer would overflow, the driver grows the numpy buffer and resumes.
-Everything the kernel touches is a numpy array owned here, so the
-canonical flat state comes back with zero copying.
+the temp directory, keyed by a hash of the source, the compiler's path
+and ``--version`` output, the flags and the platform), loads it through
+:mod:`ctypes`, and drives the pause/resume protocol: a kernel returns
+to Python whenever a growable buffer would overflow, the driver grows
+the numpy buffer and resumes.  Everything a kernel touches is a numpy
+array owned here, so the canonical flat state comes back with zero
+copying.
 
 The kernel draws the serve-stream error uniforms itself: the driver
 seeds the per-host PCG64 lanes once (:meth:`VecPcg.seeded`) and hands
@@ -24,19 +25,30 @@ bytes built here); :func:`fault_draw` exposes that port.
 of ``repro.fleet.server._report_folds``, the report's order-sensitive
 folds over the flat state.
 
+:func:`build_hosts` is the third: ``fleet_build``, the C port of
+``repro.fleet.columns._sample_shard_columns`` over the whole fleet in
+one call (seed forks, PCG64 seeding, ziggurat draws from the
+:mod:`repro.fleet._zigdata` tables passed in, and the churn traces
+written into growable CSR session buffers); :func:`zig_draws` exposes
+its seeding and samplers so tests can pin them over many lanes.
+
 No compiler, a failed compile, a library missing an entry point, or
-``REPRO_NO_CLOOP=1`` all degrade to ``run_event_loop`` and
-``report_folds`` returning ``None``; the server then runs the
-pure-Python loop and folds, which produce byte-identical results.
+``REPRO_NO_CLOOP=1`` all degrade to ``run_event_loop``,
+``report_folds`` and ``build_hosts`` returning ``None``; the callers
+then run the pure-Python loop, folds and sharded column build, which
+produce byte-identical results.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
+import platform
 import shutil
 import subprocess
+import sys
 import tempfile
 from functools import partial
 from pathlib import Path
@@ -44,10 +56,21 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.fleet.fastrng import VecPcg
+from repro.fleet._zigdata import EXP_R, NOR_INV_R, NOR_R
+from repro.fleet.fastrng import (
+    _FE,
+    _FI,
+    _KE,
+    _KI,
+    _WE,
+    _WI,
+    VecPcg,
+    spawn_key_words,
+)
+from repro.fleet.host import AVAILABILITY_CEIL, AVAILABILITY_FLOOR
 
-__all__ = ["available", "fault_draw", "report_folds", "run_event_loop",
-           "serve_doubles"]
+__all__ = ["available", "build_hosts", "fault_draw", "report_folds",
+           "run_event_loop", "serve_doubles", "zig_draws"]
 
 _SRC = Path(__file__).with_name("_cloop.c")
 
@@ -56,6 +79,7 @@ _ST_GROW_HEAP = 1
 _ST_GROW_NEED = 2
 _ST_GROW_REP = 3
 _ST_GROW_RET = 4
+_ST_GROW_SESS = 5
 
 _P = ctypes.c_void_p
 _I = ctypes.c_int64
@@ -126,6 +150,25 @@ class _ReportCtx(ctypes.Structure):
     ]
 
 
+class _BuildCtx(ctypes.Structure):
+    """Mirror of the C ``BuildCtx`` (all fields 8 bytes, as above)."""
+
+    _fields_ = [
+        ("n", _I), ("next", _I), ("n_sess", _I), ("sess_cap", _I),
+        ("draw_speed", _I),
+        ("horizon", _D), ("session_mean", _D), ("departure_mean", _D),
+        ("avail_mean", _D), ("avail_spread", _D), ("avail_floor", _D),
+        ("avail_ceil", _D),
+        ("prefix", _P), ("plen", _I), ("spawn", _P),
+        ("ki_nor", _P), ("ke_exp", _P),
+        ("wi_nor", _P), ("fi_nor", _P), ("we_exp", _P), ("fe_exp", _P),
+        ("nor_r", _D), ("nor_inv_r", _D), ("exp_r", _D),
+        ("speed_z", _P), ("avail", _P), ("departure", _P),
+        ("serve_seed", _P), ("s_cnt", _P),
+        ("s_starts", _P), ("s_ends", _P),
+    ]
+
+
 #: Scalar tallies the kernel accumulates in the context, returned in the
 #: state dict.
 _STATE_INTS = ("n_valid", "n_rep", "ok_n", "err_n", "stale_n", "tmo_n",
@@ -144,12 +187,29 @@ _tried = False
 #: exactly as CPython's interpreter does (SSE2 doubles)
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
+#: Linked after the source: ``fleet_build``'s ziggurat tails call libm's
+#: ``log1p``/``exp``, the ones CPython's ``math`` module calls
+_LDLIBS = ("-lm",)
+
+
+def _cc_version(cc: str) -> bytes:
+    """The compiler's ``--version`` output; empty if it cannot run."""
+    try:
+        return subprocess.run([cc, "--version"], capture_output=True,
+                              timeout=30).stdout
+    except (OSError, subprocess.SubprocessError):
+        return b""
+
 
 def _so_path(cc: str, flags: Tuple[str, ...]) -> str:
-    """The cached build's path, keyed by the source, the compiler and
-    the flags — a flag or compiler change must not reuse an old build."""
+    """The cached build's path, keyed by the source, the compiler (its
+    path and its version output), the flags and the platform — an
+    upgraded compiler, a flag change or another architecture sharing
+    the temp directory must not reuse an old build."""
     key = hashlib.sha256(_SRC.read_bytes())
     key.update("\0".join((cc,) + flags).encode())
+    key.update(b"\0" + _cc_version(cc))
+    key.update(f"\0{sys.platform}\0{platform.machine()}".encode())
     tag = getattr(os, "getuid", lambda: 0)()
     return os.path.join(tempfile.gettempdir(),
                         f"repro_cloop_{key.hexdigest()[:16]}_{tag}.so")
@@ -159,14 +219,14 @@ def _compile() -> Optional[str]:
     cc = shutil.which("gcc") or shutil.which("cc")
     if cc is None:
         return None
-    so_path = _so_path(cc, _CFLAGS)
+    so_path = _so_path(cc, _CFLAGS + _LDLIBS)
     if os.path.exists(so_path):
         return so_path
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=tempfile.gettempdir())
     os.close(fd)
     try:
         result = subprocess.run(
-            [cc, *_CFLAGS, "-o", tmp, str(_SRC)],
+            [cc, *_CFLAGS, "-o", tmp, str(_SRC), *_LDLIBS],
             capture_output=True, timeout=120)
         if result.returncode != 0:
             os.unlink(tmp)
@@ -204,6 +264,10 @@ def _load() -> Optional[ctypes.CDLL]:
         lib.fault_draw.restype = ctypes.c_double
         lib.serve_doubles.argtypes = [_P, _P, _I, _I, _P]
         lib.serve_doubles.restype = None
+        lib.fleet_build.argtypes = [ctypes.POINTER(_BuildCtx)]
+        lib.fleet_build.restype = ctypes.c_int
+        lib.zig_draws.argtypes = [ctypes.POINTER(_BuildCtx), _P, _I, _I, _P]
+        lib.zig_draws.restype = None
     except (OSError, AttributeError):
         # unloadable, or a build that lacks one of the entry points
         return None
@@ -309,7 +373,22 @@ _GROWABLE = {
                                "r_flag", "r_cpu", "r_rb", "r_att")),
     _ST_GROW_RET: ("ret_cap", ("ret_wid", "ret_host", "ret_cpu")),
     _ST_GROW_HEAP: ("heap_cap", ("h_t", "h_seq", "h_pay")),
+    _ST_GROW_SESS: ("sess_cap", ("s_starts", "s_ends")),
 }
+
+
+def _grow_for(status: int, ctx: ctypes.Structure, bind: _Bound) -> bool:
+    """Double the buffers a ``_GROWABLE`` pause status names; False for
+    any other status."""
+    if status not in _GROWABLE:
+        return False
+    cap_field, names = _GROWABLE[status]
+    cap = 2 * getattr(ctx, cap_field)
+    setattr(ctx, cap_field, cap)
+    for name in names:
+        if len(bind[name]):
+            bind(name, _grow(bind[name], cap))
+    return True
 
 
 def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
@@ -416,14 +495,9 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
         status = lib.fleet_run(ctypes.byref(ctx))
         if status == _ST_DONE:
             break
-        if status in _GROWABLE:
-            cap_field, names = _GROWABLE[status]
-            cap = 2 * getattr(ctx, cap_field)
-            setattr(ctx, cap_field, cap)
-            for name in names:
-                if len(bind[name]):
-                    bind(name, _grow(bind[name], cap))
-        elif status == _ST_GROW_NEED:
+        if _grow_for(status, ctx, bind):
+            continue
+        if status == _ST_GROW_NEED:
             # linearize the ring into a doubled buffer
             count = ctx.need_count
             idx = (ctx.need_head + np.arange(count)) % ctx.need_cap
@@ -511,6 +585,107 @@ def report_folds(prep: Any, state: Dict[str, Any]) -> Optional[Dict[str, Any]]:
                pending=ctx.pending, lost=ctx.lost,
                rolled_back=ctx.rolled_back, in_flight=ctx.in_flight)
     return out
+
+
+#: The per-host streams ``fleet_build`` seeds, in the kernel's order.
+_BUILD_STREAMS = ("speed", "avail", "churn.departure", "churn.phase",
+                  "churn.on", "churn.off")
+
+#: The longest message one SHA-256 block holds (64 bytes less padding).
+_ONE_BLOCK = 55
+
+_ZIG_TABLES = (("ki_nor", _KI), ("ke_exp", _KE), ("wi_nor", _WI),
+               ("fi_nor", _FI), ("we_exp", _WE), ("fe_exp", _FE))
+
+
+def _sampler_ctx(streams: Tuple[str, ...]) -> Tuple[_BuildCtx, _Bound]:
+    """A ``BuildCtx`` bound to the ziggurat tables and the spawn-key
+    words of ``streams``."""
+    ctx = _BuildCtx()
+    bind = _Bound(ctx)
+    bind("spawn", np.array([spawn_key_words(name) for name in streams],
+                           dtype=np.uint32))
+    for name, table in _ZIG_TABLES:
+        bind(name, table)
+    ctx.nor_r, ctx.nor_inv_r, ctx.exp_r = NOR_R, NOR_INV_R, EXP_R
+    return ctx, bind
+
+
+def zig_draws(entropy: np.ndarray, name: str,
+              normal: bool) -> Optional[np.ndarray]:
+    """The kernel's seeding and ziggurat samplers: ``out[i]`` is the
+    first draw of ``VecPcg.seeded(entropy, name)`` lane ``i``
+    (``std_normal`` if ``normal``, else ``std_exp``); ``None`` if the
+    kernel is absent."""
+    lib = _load()
+    if lib is None:
+        return None
+    ctx, bound = _sampler_ctx((name,))  # bound keeps the arrays alive
+    lanes = np.ascontiguousarray(entropy, dtype=np.uint64)
+    out = np.empty(len(lanes), dtype=_F8)
+    lib.zig_draws(ctypes.byref(ctx), _addr(lanes), len(lanes), int(normal),
+                  _addr(out))
+    return out
+
+
+def build_hosts(config: Any) -> Optional[Dict[str, Any]]:
+    """Sample every host of ``config`` in C; ``None`` if the kernel is
+    absent.
+
+    Returns what ``repro.fleet.columns._sample_shard_columns`` returns
+    for hosts ``[0, config.hosts)``, bit for bit, except ``gflops``:
+    ``speed_z`` holds the raw ``"speed"`` normals instead (``None`` when
+    ``host_gflops_sigma`` is 0, which draws none) and the caller takes
+    their exponential in numpy.
+    """
+    lib = _load()
+    if lib is None:
+        return None
+    n = config.hosts
+    prefix = f"{config.seed}/host-".encode("utf-8")
+    if len(prefix) + len(str(n - 1)) > _ONE_BLOCK:
+        return None  # a seed too long for the kernel's one-block forks
+    ctx, bind = _sampler_ctx(_BUILD_STREAMS)
+    ctx.plen = len(bind("prefix", np.frombuffer(prefix, dtype=np.uint8)))
+
+    draw_speed = config.host_gflops_sigma != 0.0
+    speed_z = bind("speed_z", np.empty(n if draw_speed else 0, dtype=_F8))
+    for name, dtype in (("avail", _F8), ("departure", _F8),
+                        ("serve_seed", np.uint64), ("s_cnt", np.int64)):
+        bind(name, np.empty(n, dtype=dtype))
+    # sessions expected before departure or the horizon, plus slack
+    horizon = config.duration_s
+    live = -config.departure_mean_s * math.expm1(
+        -horizon / config.departure_mean_s)
+    ctx.sess_cap = cap = 1024 + int(n * (
+        2 + live * config.availability_mean / config.session_mean_s))
+    bind("s_starts", np.empty(cap, dtype=_F8))
+    bind("s_ends", np.empty(cap, dtype=_F8))
+
+    ctx.n = n
+    ctx.draw_speed = int(draw_speed)
+    ctx.horizon = horizon
+    ctx.session_mean = config.session_mean_s
+    ctx.departure_mean = config.departure_mean_s
+    ctx.avail_mean = config.availability_mean
+    ctx.avail_spread = config.availability_spread
+    ctx.avail_floor = AVAILABILITY_FLOOR
+    ctx.avail_ceil = AVAILABILITY_CEIL
+    while True:
+        status = lib.fleet_build(ctypes.byref(ctx))
+        if status == _ST_DONE:
+            break
+        if not _grow_for(status, ctx, bind):  # pragma: no cover
+            raise RuntimeError(f"fleet build kernel returned status {status}")
+
+    total = int(ctx.n_sess)
+    return {"speed_z": speed_z if draw_speed else None,
+            "availability": bind["avail"], "departure_s": bind["departure"],
+            "serve_seed": bind["serve_seed"],
+            # copies, so the over-allocated buffers are freed
+            "s_starts": bind["s_starts"][:total].copy(),
+            "s_ends": bind["s_ends"][:total].copy(),
+            "s_cnt": bind["s_cnt"]}
 
 
 def _grow(arr: np.ndarray, new_cap: int) -> np.ndarray:

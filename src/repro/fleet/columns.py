@@ -13,21 +13,25 @@ list.
 
 Bit-identity contract
 ---------------------
-Every draw comes from :mod:`repro.fleet.fastrng`, a pure-python/numpy
-re-implementation of the exact PCG64 + SeedSequence pipeline behind
-``RngStreams`` (validated lane-by-lane against numpy in
-``tests/test_fleet_fastrng.py``), and every derived quantity repeats
-the object path's float operations in the same order.  The resulting
-columns are **byte-identical** to the object build — asserted by
-``tests/test_fleet_columns.py`` across hypervisor mixes, sigma settings
-and horizons — so :class:`FleetHost` survives as a lazy *view*
-materialised on demand (tests, ``to_dict``, figures), never as the hot
-representation.
+With the C kernel loaded (:mod:`repro.fleet.cloop`), every host is
+sampled by its ``fleet_build`` entry point in one call in the parent:
+seed forks, PCG64 seeding, ziggurat draws and churn traces in C, with
+only ``gflops`` (the exponential of the raw speed normals) left to
+numpy.  :func:`_sample_shard_columns` is the readable spec and the
+fallback when the kernel is absent: every draw comes from
+:mod:`repro.fleet.fastrng`, a pure-python/numpy re-implementation of
+the exact PCG64 + SeedSequence pipeline behind ``RngStreams``, and every
+derived quantity repeats the object path's float operations in the same
+order.  Either way the columns are **byte-identical** to the object
+build — asserted by ``tests/test_fleet_columns.py`` across hypervisor
+mixes, sigma settings, horizons and seeds, kernel against spec — so
+:class:`FleetHost` survives as a lazy *view* materialised on demand
+(tests, ``to_dict``, figures), never as the hot representation.
 
-Sharding follows the object path's discipline: fixed-size index ranges
-(:data:`COLUMN_SHARD_SIZE`) through the persistent
+The fallback shards follow the object path's discipline: fixed-size
+index ranges (:data:`COLUMN_SHARD_SIZE`) through the persistent
 :func:`repro.core.parallel.map_shards` pool, so serial and ``--jobs N``
-builds merge to the same bytes.
+builds merge to the same bytes; the kernel build uses no pool.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ExperimentError
+from repro.fleet import cloop
 from repro.fleet.calibration import fleet_slowdown
 from repro.fleet.churn import ChurnModel
 from repro.fleet.config import FleetConfig
@@ -53,10 +58,10 @@ from repro.fleet.recovery import checkpoint_cycles
 from repro.obs.metrics import METRICS
 from repro.virt.profiles import PROFILE_ORDER
 
-#: Hosts per columnar build shard.  Bigger than the object path's 128:
-#: each shard amortises four vectorised stream seedings, so the sweet
-#: spot is thousands of lanes, and boundaries stay fixed (never derived
-#: from the worker count) so any ``--jobs`` merges identically.
+#: Hosts per shard of the Python build.  Bigger than the object path's
+#: 128: each shard amortises four vectorised stream seedings, so the
+#: sweet spot is thousands of lanes, and boundaries stay fixed (never
+#: derived from the worker count) so any ``--jobs`` merges identically.
 COLUMN_SHARD_SIZE = 8192
 
 
@@ -181,6 +186,16 @@ def column_shards(n_hosts: int) -> List[Tuple[int, int]]:
             for start in range(0, n_hosts, COLUMN_SHARD_SIZE)]
 
 
+def _gflops(config: FleetConfig, n: int,
+            speed_z: Optional[np.ndarray]) -> np.ndarray:
+    """``median * lognormal_factor("speed", sigma)`` from the raw speed
+    normals; ``speed_z`` is ``None`` at sigma == 0 (factor 1.0)."""
+    if speed_z is None:
+        return np.full(n, config.host_gflops_median)
+    return config.host_gflops_median * np.exp(
+        0.0 + config.host_gflops_sigma * speed_z)
+
+
 def _sample_shard_columns(config: FleetConfig, start: int,
                           stop: int) -> Dict[str, np.ndarray]:
     """Sample hosts ``[start, stop)`` as columns — the vectorised twin
@@ -200,14 +215,10 @@ def _sample_shard_columns(config: FleetConfig, start: int,
         trace[k] = fork_seed(child_seed, "trace")
         serve[k] = fork_seed(child_seed, "serve")
 
-    # gflops: median * lognormal_factor("speed", sigma); the object path
-    # skips the draw entirely at sigma == 0 (factor 1.0).
-    sigma = config.host_gflops_sigma
-    if sigma == 0.0:
-        gflops = np.full(n, config.host_gflops_median)
-    else:
-        z = VecPcg.seeded(child, "speed").std_normal()
-        gflops = config.host_gflops_median * np.exp(0.0 + sigma * z)
+    # the object path skips the speed draw entirely at sigma == 0
+    speed_z = None if config.host_gflops_sigma == 0.0 \
+        else VecPcg.seeded(child, "speed").std_normal()
+    gflops = _gflops(config, n, speed_z)
 
     # availability: normal("avail", mean, spread) clamped to the band.
     z = VecPcg.seeded(child, "avail").std_normal()
@@ -264,8 +275,6 @@ def _sample_shard_columns(config: FleetConfig, start: int,
         s_starts[pos] = st
         s_ends[pos] = en
 
-    if METRICS.enabled:
-        METRICS.inc("fleet.hosts_built", n)
     return {"gflops": gflops, "availability": avail,
             "departure_s": departure, "serve_seed": serve,
             "s_starts": s_starts, "s_ends": s_ends, "s_cnt": counts}
@@ -282,13 +291,16 @@ def build_fleet_columns(config: FleetConfig,
                         jobs: Optional[int] = None) -> FleetColumns:
     """Build the whole fleet as :class:`FleetColumns`.
 
-    Worker-count policy follows :func:`repro.core.parallel.resolve_jobs`
-    (explicit ``jobs``, else the activated RunConfig, else every
-    schedulable core); fleets below :data:`MIN_PARALLEL_HOSTS`, or of a
-    single shard, build in the parent (the former recorded as
-    ``parallel.fallback_serial`` in METRICS).  The merged columns are
-    bit-identical to the serial build (fixed shard boundaries, hosts
-    seeded only from their own index).
+    With the C kernel loaded, every host is sampled in one
+    ``fleet_build`` call in the parent and ``jobs`` is moot.  Otherwise
+    :func:`_sample_shard_columns` runs over fixed shards; worker-count
+    policy follows :func:`repro.core.parallel.resolve_jobs` (explicit
+    ``jobs``, else the activated RunConfig, else every schedulable
+    core), and fleets of a single shard build in the parent.  Fleets
+    below :data:`MIN_PARALLEL_HOSTS` build in the parent on either path
+    (recorded as ``parallel.fallback_serial`` in METRICS).  Every path
+    gives the same bytes (fixed shard boundaries, hosts seeded only from
+    their own index, and a kernel pinned to the Python spec).
     """
     from repro.core.parallel import map_shards
 
@@ -302,23 +314,28 @@ def build_fleet_columns(config: FleetConfig,
             f"horizon_s must be positive, got {config.duration_s!r}")
 
     n = config.hosts
-    payload = config.to_dict()
-    tasks = [(payload, lo, hi) for lo, hi in column_shards(n)]
-    if n < MIN_PARALLEL_HOSTS or len(tasks) == 1:
-        if n < MIN_PARALLEL_HOSTS and METRICS.enabled:
+    if METRICS.enabled:
+        METRICS.inc("fleet.hosts_built", n)
+        if n < MIN_PARALLEL_HOSTS:
             METRICS.inc("parallel.fallback_serial")
-        shards = [_build_columns_shard(task) for task in tasks]
+    shard = cloop.build_hosts(config)
+    if shard is not None:
+        shard["gflops"] = _gflops(config, n, shard.pop("speed_z"))
+        shards = [shard]
     else:
-        shards = map_shards(_build_columns_shard, tasks, jobs=jobs)
+        payload = config.to_dict()
+        tasks = [(payload, lo, hi) for lo, hi in column_shards(n)]
+        if n < MIN_PARALLEL_HOSTS or len(tasks) == 1:
+            shards = [_build_columns_shard(task) for task in tasks]
+        else:
+            shards = map_shards(_build_columns_shard, tasks, jobs=jobs)
 
     def cat(key: str) -> np.ndarray:
-        return np.concatenate([s[key] for s in shards]) if shards \
-            else np.empty(0)
+        return shards[0][key] if len(shards) == 1 \
+            else np.concatenate([s[key] for s in shards])
 
-    counts = np.concatenate([s["s_cnt"] for s in shards]) if shards \
-        else np.empty(0, dtype=np.int64)
     s_off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=s_off[1:])
+    np.cumsum(cat("s_cnt"), out=s_off[1:])
 
     if config.mixed:
         hv_names = tuple(PROFILE_ORDER)

@@ -22,7 +22,9 @@ reimplements the full derivation chain *vectorised across hosts*:
 Every distribution is verified against the installed numpy by
 ``tests/test_fleet_columns.py``; the fleet equivalence suite then checks
 the end-to-end reports.  Nothing here touches ``repro.simcore.rng`` —
-the object path stays the reference implementation.
+the object path stays the reference implementation.  The C kernel's
+column build (``fleet_build`` in ``_cloop.c``) ports this pipeline
+lane by lane, and the tests pin it to this module.
 """
 
 from __future__ import annotations
@@ -50,8 +52,6 @@ __all__ = [
     "VecPcg",
     "fork_seed",
     "spawn_key_words",
-    "seeded_vec",
-    "exp_consistent",
 ]
 
 _M32 = 0xFFFFFFFF
@@ -397,11 +397,6 @@ class VecPcg:
         return x
 
 
-def seeded_vec(entropy64: np.ndarray, name: str) -> VecPcg:
-    """Convenience alias for :meth:`VecPcg.seeded`."""
-    return VecPcg.seeded(entropy64, name)
-
-
 # -- 128-bit limb arithmetic (base 2**32, limbs held in uint64) ----------
 
 
@@ -450,23 +445,3 @@ def _mul128_const(a: List[np.ndarray],
         out.append(col & m32)
         carry = col >> u64(32)
     return out
-
-
-# -- vector/scalar libm consistency --------------------------------------
-
-
-def exp_consistent(sample: int = 4096, seed: int = 12345) -> bool:
-    """True when ``np.exp`` over an array matches element-wise scalar
-    ``np.exp`` bit-for-bit on this build (SIMD vs scalar code paths).
-
-    The columnar host build vectorises the lognormal speed factor only
-    when this holds; otherwise it exponentiates lane by lane, exactly as
-    the object path does.  Checked once per process over a deterministic
-    probe of the relevant argument range.
-    """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    probe = rng.uniform(-6.0, 6.0, size=sample)
-    vec = np.exp(probe)
-    scalars = np.array([np.exp(v) for v in probe])
-    return bool(np.array_equal(vec.view(np.uint64),
-                               scalars.view(np.uint64)))

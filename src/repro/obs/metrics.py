@@ -139,9 +139,14 @@ class MetricsRegistry:
             label = "underflow"
         elif value == 0.0:
             label = "le_0"
+        elif not math.isfinite(value):
+            # frexp would give +inf and NaN exponent 0, i.e. le_1
+            raise ValueError(f"hist {name!r}: non-finite value {value!r}")
         else:
-            upper = 2.0 ** math.ceil(math.log2(value))
-            label = f"le_{upper:g}"
+            # value = m * 2**e with m in [0.5, 1): the smallest power of
+            # two >= value is 2**e, or 2**(e - 1) when m is exactly 0.5
+            mant, exp = math.frexp(value)
+            label = f"le_{2.0 ** (exp - 1 if mant == 0.5 else exp):g}"
         buckets = self.hists.setdefault(name, {})
         buckets[label] = buckets.get(label, 0.0) + 1.0
 
@@ -174,15 +179,8 @@ class MetricsRegistry:
                 agg[3] = last
 
     def hist_many(self, name: str, values: Sequence[float]) -> None:
-        """:meth:`hist` each of ``values``, bucketed in bulk.
-
-        ``np.frexp`` gives ``value = m·2**e`` with ``m`` in ``[0.5, 1)``,
-        so ``ceil(log2(value))`` is ``e`` — except at ``m == 0.5`` (an
-        exact power of two, ``e − 1``) and just above it, where
-        ``math.log2`` may round down to ``e − 1``.  Values with ``m``
-        below ``0.5 + 2**-40`` therefore take the per-value
-        ``math.log2`` route, so every bucket matches :meth:`hist`.
-        """
+        """:meth:`hist` each of ``values``, bucketed in bulk by the same
+        exact ``frexp`` exponent rule (``np.frexp``)."""
         if not self.enabled:
             return
         import numpy as np  # deferred: importing the registry stays light
@@ -190,6 +188,8 @@ class MetricsRegistry:
         arr = np.asarray(values, dtype=np.float64)
         if not arr.size:
             return
+        if np.isnan(arr).any() or np.isposinf(arr).any():
+            raise ValueError(f"hist {name!r}: non-finite values")
         buckets = self.hists.setdefault(name, {})
 
         def count(label: str, k: int) -> None:
@@ -198,11 +198,8 @@ class MetricsRegistry:
 
         count("underflow", int(np.count_nonzero(arr < 0.0)))
         count("le_0", int(np.count_nonzero(arr == 0.0)))
-        pos = arr[arr > 0.0]
-        mant, exp = np.frexp(pos)
-        near = mant < 0.5 + 2.0 ** -40
-        if near.any():
-            exp[near] = [math.ceil(math.log2(v)) for v in pos[near].tolist()]
+        mant, exp = np.frexp(arr[arr > 0.0])
+        exp[mant == 0.5] -= 1
         exps, counts = np.unique(exp, return_counts=True)
         for e, k in zip(exps.tolist(), counts.tolist()):
             count(f"le_{2.0 ** e:g}", k)

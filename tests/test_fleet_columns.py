@@ -2,12 +2,17 @@
 
 The columnar build (:mod:`repro.fleet.columns`) is only admissible if
 it is a pure re-encoding of the object build: same hosts, same traces,
-same floats, independent of sharding.  These tests pin that contract
-and the CSR session-layout edge cases (empty traces, single-session
-always-on hosts, departure-clipped traces), plus the vectorised PCG64
-replica (:mod:`repro.fleet.fastrng`) against the scalar reference
-streams it must reproduce bit for bit.
+same floats, independent of sharding and of whether the C kernel's
+``fleet_build`` or the Python spec ``_sample_shard_columns`` sampled
+them.  These tests pin that contract and the CSR session-layout edge
+cases (empty traces, single-session always-on hosts, departure-clipped
+traces), plus the vectorised PCG64 replica (:mod:`repro.fleet.fastrng`)
+against the scalar reference streams it must reproduce bit for bit.
 """
+
+import dataclasses
+import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,13 +22,29 @@ from repro.fleet import (
     COLUMN_SHARD_SIZE,
     FleetConfig,
     build_fleet_columns,
+    cloop,
     column_shards,
+    fastrng,
 )
 from repro.fleet.fastrng import VecPcg, fork_seed
 from repro.simcore.rng import RngStreams
 
 MIXED = FleetConfig(hosts=220, hypervisor="mixed", seed=13,
                     duration_s=86400.0)
+
+
+def column_bytes(cols):
+    """Every array column of ``cols`` as bytes, keyed by field name."""
+    return {f.name: getattr(cols, f.name).tobytes()
+            for f in dataclasses.fields(cols)
+            if isinstance(getattr(cols, f.name), np.ndarray)}
+
+
+def spec_columns(config, jobs=1):
+    """``build_fleet_columns`` forced onto the Python spec."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cloop, "build_hosts", lambda config: None)
+        return build_fleet_columns(config, jobs=jobs)
 
 
 def assert_columns_match_hosts(config):
@@ -54,17 +75,106 @@ class TestColumnsMatchObjects:
                         checkpoint_interval_s=1800.0))
 
     def test_sharded_build_equals_serial(self):
-        # force > 1 shard so the map_shards path actually runs
+        # force > 1 shard, and the Python spec, so the map_shards path
+        # actually runs
         config = FleetConfig(hosts=COLUMN_SHARD_SIZE + 57, seed=5,
                              duration_s=14400.0)
         assert len(column_shards(config.hosts)) > 1
-        serial = build_fleet_columns(config, jobs=1)
-        sharded = build_fleet_columns(config, jobs=4)
-        for key in ("hv_code", "gflops", "availability", "slowdown",
-                    "departure_s", "checkpoint_cost_s", "serve_seed",
-                    "s_starts", "s_ends", "s_off"):
-            a, b = getattr(serial, key), getattr(sharded, key)
-            assert a.tobytes() == b.tobytes(), key
+        serial = column_bytes(spec_columns(config, jobs=1))
+        sharded = column_bytes(spec_columns(config, jobs=4))
+        assert sharded == serial
+        assert column_bytes(build_fleet_columns(config, jobs=4)) == serial
+
+
+class TestKernelBuild:
+    """``fleet_build`` (the C build) against ``_sample_shard_columns``."""
+
+    @pytest.fixture(autouse=True)
+    def _kernel(self):
+        if not cloop.available():
+            pytest.skip("no C compiler / kernel unavailable")
+
+    def test_kernel_build_port_is_bit_identical(self, monkeypatch):
+        # the spec's ziggurat slow-path lanes, by distribution and by
+        # branch (layer 0 is the tail, any other layer the wedge test):
+        # the kernel must have taken the same branches on the same lanes
+        slow = Counter()
+
+        def counted(dist, unlikely):
+            def wrapper(pcg, idx, *args):
+                slow[dist, "tail" if idx == 0 else "wedge"] += 1
+                return unlikely(pcg, idx, *args)
+            return wrapper
+
+        monkeypatch.setattr(fastrng, "_normal_unlikely", counted(
+            "normal", fastrng._normal_unlikely))
+        monkeypatch.setattr(fastrng, "_exp_unlikely", counted(
+            "exp", fastrng._exp_unlikely))
+        fleets = (("mixed", 0.25), ("qemu", 0.25), ("mixed", 0.0),
+                  ("vmware", 0.0))
+        horizons = (3600.0, 86400.0, 7 * 86400.0)
+        for seed, (hypervisor, sigma), horizon in itertools.product(
+                (0, 1, 2**64 - 1), fleets, horizons):
+            config = FleetConfig(hosts=4000, hypervisor=hypervisor,
+                                 host_gflops_sigma=sigma, seed=seed,
+                                 duration_s=horizon)
+            want = column_bytes(spec_columns(config))
+            got = column_bytes(build_fleet_columns(config, jobs=1))
+            assert got == want, (seed, hypervisor, sigma, horizon)
+        for dist, branch in itertools.product(("normal", "exp"),
+                                              ("tail", "wedge")):
+            assert slow[dist, branch] > 0, (dist, branch, slow)
+
+    @pytest.mark.parametrize("normal", [True, False],
+                             ids=["normal", "exponential"])
+    def test_sampler_port_is_bit_identical(self, monkeypatch, normal):
+        # enough lanes that the rare branches recur: the normal tail
+        # (~1 lane in 4,000) and its rejection loop, the exponential
+        # tail and both wedge tests
+        lanes = np.array([fork_seed(7, f"lane.{i}") for i in range(200_000)],
+                         dtype=np.uint64)
+        slow = Counter()
+        unlikely = "_normal_unlikely" if normal else "_exp_unlikely"
+        spec_unlikely = getattr(fastrng, unlikely)
+
+        def counted(pcg, idx, *args):
+            slow["tail" if idx == 0 else "wedge"] += 1
+            return spec_unlikely(pcg, idx, *args)
+
+        monkeypatch.setattr(fastrng, unlikely, counted)
+        vec = VecPcg.seeded(lanes, "speed")
+        want = vec.std_normal() if normal else vec.std_exp()
+        got = cloop.zig_draws(lanes, "speed", normal)
+        assert got.tobytes() == want.tobytes()
+        assert slow["tail"] >= 20 and slow["wedge"] >= 20, slow
+
+    def test_sessions_past_the_first_capacity_grow_and_resume(
+            self, monkeypatch):
+        # availability far above its mean (clamped spread) overruns the
+        # kernel's first session-buffer guess, so the build pauses,
+        # grows and rebuilds the interrupted host
+        grows = []
+        grow_for = cloop._grow_for
+
+        def spy(status, ctx, bind):
+            grows.append(status)
+            return grow_for(status, ctx, bind)
+
+        monkeypatch.setattr(cloop, "_grow_for", spy)
+        config = FleetConfig(hosts=3000, seed=21, duration_s=7 * 86400.0,
+                             availability_mean=0.05,
+                             availability_spread=0.5)
+        got = column_bytes(build_fleet_columns(config, jobs=1))
+        assert grows and set(grows) == {cloop._ST_GROW_SESS}
+        assert got == column_bytes(spec_columns(config))
+
+    def test_unforkable_seed_falls_back_to_the_spec(self):
+        # "{seed}/host-{i}" past one SHA-256 block: the Python spec builds
+        config = FleetConfig(hosts=40, seed=10**50, duration_s=3600.0)
+        assert cloop.build_hosts(config) is None
+        assert column_bytes(build_fleet_columns(config, jobs=1)) == \
+            column_bytes(spec_columns(config))
+        assert_columns_match_hosts(config)
 
 
 class TestCsrLayout:

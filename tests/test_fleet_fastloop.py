@@ -23,6 +23,7 @@ Pins the contracts the columnar rewrite rides on:
 """
 
 import json
+import shutil
 import types
 from unittest import mock
 
@@ -56,6 +57,7 @@ from repro.fleet.server import (
     _report_folds,
 )
 from repro.obs.metrics import METRICS
+from tests.test_fleet_columns import column_bytes
 
 CONFIGS = [
     FleetConfig(hosts=60, seed=7, duration_s=43200.0, workunits=120,
@@ -324,30 +326,61 @@ class TestKernelMatchesFallback:
 
 
 class TestKernelLoad:
-    def test_library_missing_an_entry_point_falls_back(self, monkeypatch):
-        """A build that predates ``fleet_report`` must not crash the run."""
+    @staticmethod
+    def _stale_library(monkeypatch, *entry_points):
+        """Load a kernel library that exports only ``entry_points``."""
         def stale_cdll(path):
-            return types.SimpleNamespace(
-                fleet_run=types.SimpleNamespace(),
-                fault_draw=types.SimpleNamespace(),
-                serve_doubles=types.SimpleNamespace())
+            return types.SimpleNamespace(**{
+                name: types.SimpleNamespace() for name in entry_points})
 
         monkeypatch.delenv("REPRO_NO_CLOOP", raising=False)
         monkeypatch.setattr(cloop, "_lib", None)
         monkeypatch.setattr(cloop, "_tried", False)
         monkeypatch.setattr(cloop, "_compile", lambda: "stale.so")
         monkeypatch.setattr(cloop.ctypes, "CDLL", stale_cdll)
-        assert cloop_available() is False
+
+    def test_library_missing_an_entry_point_falls_back(self, monkeypatch):
+        """A build that predates ``fleet_report`` or ``fleet_build`` must
+        not crash the run."""
         config = CONFIGS[0]
+        want = build_fleet_columns(config, jobs=1)
+        self._stale_library(monkeypatch, "fleet_run", "fault_draw",
+                            "serve_doubles", "fleet_build", "zig_draws")
+        assert cloop_available() is False
         live = simulate_fleet(config, jobs=1).to_dict()
         assert canonical(live) == canonical(oracle_dict(config))
 
-    def test_cache_key_covers_compiler_and_flags(self):
+        # lacking fleet_build: the columns come from the Python spec
+        self._stale_library(monkeypatch, "fleet_run", "fleet_report",
+                            "fault_draw", "serve_doubles", "zig_draws")
+        assert cloop_available() is False
+        assert cloop.build_hosts(config) is None
+        assert column_bytes(build_fleet_columns(config, jobs=1)) == \
+            column_bytes(want)
+
+    def test_cache_key_covers_compiler_and_flags(self, monkeypatch):
         flags = cloop._CFLAGS
-        paths = {cloop._so_path("/usr/bin/gcc", flags),
-                 cloop._so_path("/usr/bin/gcc", flags + ("-O3",)),
-                 cloop._so_path("/usr/bin/clang", flags)}
-        assert len(paths) == 3
+        version = {"cc": b"gcc (GCC) 12.2.0"}
+        monkeypatch.setattr(cloop, "_cc_version", lambda cc: version["cc"])
+
+        def key(cc="/usr/bin/gcc", extra=()):
+            return cloop._so_path(cc, flags + extra)
+
+        paths = {key(), key(extra=("-O3",)), key(cc="/usr/bin/clang")}
+        version["cc"] = b"gcc (GCC) 13.1.0"
+        paths.add(key())
+        monkeypatch.setattr(cloop.platform, "machine", lambda: "riscv64")
+        paths.add(key())
+        monkeypatch.setattr(cloop.sys, "platform", "freebsd14")
+        paths.add(key())
+        assert len(paths) == 6
+
+    def test_compiler_version_is_read_from_the_compiler(self):
+        if not cloop_available():
+            pytest.skip("no C compiler / kernel unavailable")
+        cc = shutil.which("gcc") or shutil.which("cc")
+        assert cloop._cc_version(cc).strip()
+        assert cloop._cc_version("/nonexistent/cc") == b""
 
 
 class TestStormsStayColumnar:

@@ -172,6 +172,39 @@ class TestBulkFolds:
                             math.nextafter(4.0, 8.0)])
         assert reg.hist_buckets("h") == {"le_4": 2.0, "le_8": 1.0}
 
+    def test_bucket_label_is_an_upper_bound(self):
+        # one ulp above 2**k belongs in le_<2**(k+1)>; 2**k itself and
+        # one ulp below stay in le_<2**k> (math.log2 used to round the
+        # first down into le_<2**k> at 113 of these 121 k)
+        for k in range(-60, 61):
+            p = 2.0 ** k
+            above = [math.nextafter(p, math.inf)]
+            at_or_below = [math.nextafter(p, 0.0), p]
+            for fold in (_per_call, _bulk):
+                assert fold(above).hist_buckets("h") == \
+                    {f"le_{2 * p:g}": 1.0}, (fold.__name__, k)
+                assert fold(at_or_below).hist_buckets("h") == \
+                    {f"le_{p:g}": 2.0}, (fold.__name__, k)
+
+    def test_subnormals_bucket_by_their_exact_exponent(self):
+        tiny = 5e-324  # 2**-1074, the smallest subnormal
+        for fold in (_per_call, _bulk):
+            assert fold([tiny, 1e-310]).hist_buckets("h") == {
+                f"le_{tiny:g}": 1.0, f"le_{2.0 ** -1029:g}": 1.0}
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_values_are_rejected(self, value):
+        # frexp gives them exponent 0: they must not land in le_1
+        reg = MetricsRegistry(enabled=True)
+        with pytest.raises(ValueError, match="non-finite"):
+            reg.hist("h", value)
+        with pytest.raises(ValueError, match="non-finite"):
+            reg.hist_many("h", [1.0, value])
+        assert reg.hists == {}
+        # -inf is negative: underflow, as before
+        for fold in (_per_call, _bulk):
+            assert fold([-math.inf]).hist_buckets("h") == {"underflow": 1.0}
+
     def test_random_makespans_match_per_call_replay(self):
         rng = random.Random(5)
         values = [rng.uniform(0.0, 86400.0) / 3600.0 for _ in range(5000)]
